@@ -314,30 +314,39 @@ bool RunEngineGate(bench::BenchJson* json) {
 }
 
 /// INTERCONNECT — the transport subsystem's gate. Every TPC-H kind runs
-/// twice on a 3-node cluster at W=2: once over the legacy unbounded
-/// BlockChannel path and once over the credit-backpressured serialized
-/// transport, and the row multisets must be identical. The transport run
-/// meters its traffic into an EnergyMeter with a per-node NIC model; the
-/// gate also requires nonzero shipped bytes on every kind (the shuffles
-/// really cross the fabric) and exact energy conservation — the meter's
-/// total is busy + idle + network to 1e-6. Shipped bytes are logical
-/// block bytes over seeded data, so bytes_shipped_per_query is
-/// deterministic and regression-gated.
+/// on a 3-node cluster at W=2 over the credit-backpressured serialized
+/// transport, and its row multiset must match a one-node, one-worker
+/// reference run over the unpartitioned tables (all of whose edges are
+/// loopback, never serialized). The 3-node run meters its traffic into an
+/// EnergyMeter with a per-node NIC model; the gate also requires nonzero
+/// shipped bytes on every kind (the shuffles really cross the fabric) and
+/// exact energy conservation — the meter's total is busy + idle +
+/// network to 1e-6. Shipped bytes are logical block bytes over seeded
+/// data, so bytes_shipped_per_query is deterministic and
+/// regression-gated.
 bool RunInterconnectGate(bench::BenchJson* json,
                          const net::Transport& transport_info) {
   tpch::DbgenOptions dbgen;
   dbgen.scale_factor = 0.002;
   dbgen.seed = 99;
   const tpch::TpchDatabase db = tpch::GenerateDatabase(dbgen);
+  const auto load = [&db](exec::ClusterData* data) {
+    if (!data->LoadHashPartitioned("lineitem", *db.lineitem, "l_orderkey")
+             .ok() ||
+        !data->LoadHashPartitioned("orders", *db.orders, "o_custkey")
+             .ok()) {
+      return false;
+    }
+    data->LoadReplicated("supplier", db.supplier);
+    data->LoadReplicated("nation", db.nation);
+    return true;
+  };
+  exec::ClusterData reference_data(1);
   exec::ClusterData data(3);
-  if (!data.LoadHashPartitioned("lineitem", *db.lineitem, "l_orderkey")
-           .ok() ||
-      !data.LoadHashPartitioned("orders", *db.orders, "o_custkey").ok()) {
+  if (!load(&reference_data) || !load(&data)) {
     bench::PrintNote("cluster data load failed");
     return false;
   }
-  data.LoadReplicated("supplier", db.supplier);
-  data.LoadReplicated("nation", db.nation);
 
   net::InProcessTransport transport(transport_info.options());
   auto power_model = std::make_shared<power::LinearPowerModel>(
@@ -350,7 +359,7 @@ bool RunInterconnectGate(bench::BenchJson* json,
   const QueryKind kinds[] = {QueryKind::kQ1, QueryKind::kQ3,
                              QueryKind::kQ12, QueryKind::kQ21};
   bench::PrintNote(StrFormat(
-      "legacy channels vs %s transport (window %d frames), 3 nodes, W=2:",
+      "1-node reference vs %s transport (window %d frames), 3 nodes, W=2:",
       transport.name().c_str(),
       transport.options().credit_window_frames));
   for (QueryKind kind : kinds) {
@@ -359,10 +368,8 @@ bool RunInterconnectGate(bench::BenchJson* json,
       bench::PrintNote("plan failed: " + plan_or.status().ToString());
       return false;
     }
-    exec::Executor::Options legacy_options;
-    legacy_options.workers_per_node = 2;
-    exec::Executor legacy_exec(&data, std::move(legacy_options));
-    auto legacy = legacy_exec.Execute(plan_or.value());
+    exec::Executor reference_exec(&reference_data);
+    auto reference = reference_exec.Execute(plan_or.value());
 
     energy::EnergyMeter meter(3, power_model, /*workers_per_node=*/2);
     meter.SetNicModels({nic, nic, nic});
@@ -372,16 +379,16 @@ bool RunInterconnectGate(bench::BenchJson* json,
     framed_options.activity_listener = &meter;
     exec::Executor framed_exec(&data, std::move(framed_options));
     auto framed = framed_exec.Execute(plan_or.value());
-    if (!legacy.ok() || !framed.ok()) {
+    if (!reference.ok() || !framed.ok()) {
       bench::PrintNote("executor failed: " +
-                       (legacy.ok() ? framed.status() : legacy.status())
+                       (reference.ok() ? framed.status() : reference.status())
                            .ToString());
       return false;
     }
 
     std::string diff;
     const bool match =
-        exec::TablesEqualUnordered(legacy->table, framed->table, 1e-6,
+        exec::TablesEqualUnordered(reference->table, framed->table, 1e-6,
                                    &diff);
     if (!match) bench::PrintNote("  row divergence: " + diff);
     rows_match = rows_match && match;
@@ -409,7 +416,7 @@ bool RunInterconnectGate(bench::BenchJson* json,
   const bool ok = rows_match && shipped_everywhere && conserved;
   bench::PrintClaim(
       "the serialized credit-backpressured transport is row-identical to "
-      "the legacy channels, ships real bytes on every kind, and its "
+      "a one-node reference, ships real bytes on every kind, and its "
       "network joules conserve in the meter's split",
       "interconnect correctness + honest network energy",
       StrFormat("rows %s, %.1f KB shipped per query, conservation %s",

@@ -4,40 +4,6 @@
 
 namespace eedc {
 
-ThreadPool::ThreadPool(std::size_t num_threads) {
-  EEDC_CHECK(num_threads >= 1);
-  workers_.reserve(num_threads);
-  for (std::size_t i = 0; i < num_threads; ++i) {
-    workers_.emplace_back([this] { WorkerLoop(); });
-  }
-}
-
-ThreadPool::~ThreadPool() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    shutdown_ = true;
-  }
-  cv_.notify_all();
-  for (auto& w : workers_) w.join();
-}
-
-std::future<void> ThreadPool::Submit(std::function<void()> task) {
-  std::packaged_task<void()> pt(std::move(task));
-  std::future<void> fut = pt.get_future();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    EEDC_CHECK(!shutdown_) << "Submit after shutdown";
-    queue_.push_back(std::move(pt));
-  }
-  cv_.notify_one();
-  return fut;
-}
-
-void ThreadPool::WaitIdle() {
-  std::unique_lock<std::mutex> lock(mu_);
-  idle_cv_.wait(lock, [this] { return queue_.empty() && in_flight_ == 0; });
-}
-
 WorkCrew::WorkCrew(std::size_t members,
                    std::function<void(std::size_t)> body)
     : members_(members) {
@@ -53,26 +19,6 @@ WorkCrew::~WorkCrew() { Join(); }
 void WorkCrew::Join() {
   for (auto& t : threads_) {
     if (t.joinable()) t.join();
-  }
-}
-
-void ThreadPool::WorkerLoop() {
-  while (true) {
-    std::packaged_task<void()> task;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      cv_.wait(lock, [this] { return shutdown_ || !queue_.empty(); });
-      if (queue_.empty()) return;  // shutdown and drained
-      task = std::move(queue_.front());
-      queue_.pop_front();
-      ++in_flight_;
-    }
-    task();
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      --in_flight_;
-      if (queue_.empty() && in_flight_ == 0) idle_cv_.notify_all();
-    }
   }
 }
 

@@ -1,56 +1,22 @@
-// Fixed-size thread pool and work crew used by the P-store executor.
+// Work crew used by the P-store executor.
 //
-// ThreadPool multiplexes short tasks over a fixed worker set; WorkCrew
-// dedicates one thread per member for the executor's node x worker
-// pipeline instances, which block on channels and merge barriers and so
-// must never share threads.
+// WorkCrew dedicates one thread per member for the executor's node x
+// worker pipeline instances, which block on exchange ports and merge
+// barriers and so must never share threads.
 #ifndef EEDC_COMMON_THREAD_POOL_H_
 #define EEDC_COMMON_THREAD_POOL_H_
 
-#include <condition_variable>
-#include <deque>
 #include <functional>
-#include <future>
-#include <mutex>
 #include <thread>
 #include <vector>
 
 namespace eedc {
 
-class ThreadPool {
- public:
-  /// Spawns `num_threads` workers (>= 1).
-  explicit ThreadPool(std::size_t num_threads);
-  ~ThreadPool();
-
-  ThreadPool(const ThreadPool&) = delete;
-  ThreadPool& operator=(const ThreadPool&) = delete;
-
-  /// Enqueues a task; the returned future is satisfied when it finishes.
-  std::future<void> Submit(std::function<void()> task);
-
-  /// Blocks until every task submitted so far has completed.
-  void WaitIdle();
-
-  std::size_t num_threads() const { return workers_.size(); }
-
- private:
-  void WorkerLoop();
-
-  std::mutex mu_;
-  std::condition_variable cv_;        // signals workers on new work/shutdown
-  std::condition_variable idle_cv_;   // signals WaitIdle on completion
-  std::deque<std::packaged_task<void()>> queue_;
-  std::vector<std::thread> workers_;
-  std::size_t in_flight_ = 0;
-  bool shutdown_ = false;
-};
-
 /// A work crew: `members` dedicated threads, member i running body(i).
-/// Unlike ThreadPool, every member owns its thread for the crew's whole
-/// lifetime, so members may block on each other (channels, barriers)
-/// without deadlocking the crew. Join() blocks until every member returns;
-/// the destructor joins if the caller did not.
+/// Every member owns its thread for the crew's whole lifetime, so members
+/// may block on each other (exchanges, barriers) without deadlocking the
+/// crew. Join() blocks until every member returns; the destructor joins
+/// if the caller did not.
 class WorkCrew {
  public:
   WorkCrew(std::size_t members, std::function<void(std::size_t)> body);

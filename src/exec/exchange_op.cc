@@ -26,20 +26,6 @@ const char* ExchangeModeToString(ExchangeMode mode) {
 StatusOr<OperatorPtr> ExchangeOp::Create(OperatorPtr child,
                                          ExchangeMode mode,
                                          std::string partition_key,
-                                         int node_id, ExchangeGroup* group,
-                                         std::vector<int> destinations,
-                                         NodeMetrics* metrics) {
-  if (group == nullptr) {
-    return Status::InvalidArgument("exchange requires a channel group");
-  }
-  return CreateImpl(std::move(child), mode, std::move(partition_key),
-                    node_id, group, nullptr, std::move(destinations),
-                    metrics);
-}
-
-StatusOr<OperatorPtr> ExchangeOp::Create(OperatorPtr child,
-                                         ExchangeMode mode,
-                                         std::string partition_key,
                                          int node_id,
                                          net::ExchangePort* port,
                                          std::vector<int> destinations,
@@ -47,20 +33,7 @@ StatusOr<OperatorPtr> ExchangeOp::Create(OperatorPtr child,
   if (port == nullptr) {
     return Status::InvalidArgument("exchange requires a transport port");
   }
-  // Bind here, during single-threaded plan instantiation: both ends of
-  // every edge agree on the frame schema before any worker sends.
-  EEDC_RETURN_IF_ERROR(port->BindSchema(child->schema()));
-  return CreateImpl(std::move(child), mode, std::move(partition_key),
-                    node_id, nullptr, port, std::move(destinations),
-                    metrics);
-}
-
-StatusOr<OperatorPtr> ExchangeOp::CreateImpl(
-    OperatorPtr child, ExchangeMode mode, std::string partition_key,
-    int node_id, ExchangeGroup* group, net::ExchangePort* port,
-    std::vector<int> destinations, NodeMetrics* metrics) {
-  const int num_nodes =
-      group != nullptr ? group->num_nodes() : port->num_nodes();
+  const int num_nodes = port->num_nodes();
   if (destinations.empty()) {
     for (int i = 0; i < num_nodes; ++i) destinations.push_back(i);
   }
@@ -81,8 +54,11 @@ StatusOr<OperatorPtr> ExchangeOp::CreateImpl(
       return Status::InvalidArgument("shuffle key must be int64");
     }
   }
+  // Bind here, during single-threaded plan instantiation: both ends of
+  // every edge agree on the frame schema before any worker sends.
+  EEDC_RETURN_IF_ERROR(port->BindSchema(child->schema()));
   auto* op = new ExchangeOp(std::move(child), mode,
-                            std::move(partition_key), node_id, group, port,
+                            std::move(partition_key), node_id, port,
                             std::move(destinations), metrics);
   op->key_idx_ = key_idx;
   return OperatorPtr(op);
@@ -90,30 +66,20 @@ StatusOr<OperatorPtr> ExchangeOp::CreateImpl(
 
 ExchangeOp::ExchangeOp(OperatorPtr child, ExchangeMode mode,
                        std::string partition_key, int node_id,
-                       ExchangeGroup* group, net::ExchangePort* port,
+                       net::ExchangePort* port,
                        std::vector<int> destinations, NodeMetrics* metrics)
     : child_(std::move(child)),
       mode_(mode),
       partition_key_(std::move(partition_key)),
       node_id_(node_id),
-      group_(group),
       port_(port),
       metrics_(metrics),
       destinations_(std::move(destinations)) {}
 
-int ExchangeOp::fabric_nodes() const {
-  return group_ != nullptr ? group_->num_nodes() : port_->num_nodes();
-}
-
-int ExchangeOp::exchange_id() const {
-  return group_ != nullptr ? group_->id() : port_->id();
-}
-
 void ExchangeOp::ShipBlock(int dest, Block&& block) {
   if (block.empty()) return;
   if (metrics_ != nullptr) {
-    auto& stats =
-        metrics_->exchange(static_cast<std::size_t>(exchange_id()));
+    auto& stats = metrics_->exchange(static_cast<std::size_t>(port_->id()));
     const double bytes = block.LogicalBytes();
     if (dest == node_id_) {
       stats.sent_local_bytes += bytes;
@@ -123,13 +89,9 @@ void ExchangeOp::ShipBlock(int dest, Block&& block) {
     stats.rows_routed += static_cast<double>(block.size());
     metrics_->cpu_bytes += bytes;
   }
-  if (group_ != nullptr) {
-    group_->channel(dest).Send(std::move(block));
-    return;
-  }
-  // Transport path: the send may block while the edge is out of credit
-  // (the receiver backpressuring us). That interval is a stall, not
-  // compute — account it like a blocked receive.
+  // The send may block while the edge is out of credit (the receiver
+  // backpressuring us). That interval is a stall, not compute — account
+  // it like a blocked receive.
   Duration wait = Duration::Zero();
   const auto entered = std::chrono::steady_clock::now();
   port_->Send(node_id_, dest, std::move(block), &wait);
@@ -144,7 +106,7 @@ void ExchangeOp::ShipBlock(int dest, Block&& block) {
 void ExchangeOp::AppendRunToPending(int dest, const Block& block,
                                     std::size_t phys, std::size_t count) {
   // Chunk the run at the staging block's remaining capacity so blocks
-  // crossing a channel never exceed their declared capacity.
+  // crossing the port never exceed their declared capacity.
   std::size_t appended = 0;
   while (appended < count) {
     Block& staged = pending_[static_cast<std::size_t>(dest)];
@@ -251,7 +213,7 @@ void ExchangeOp::RouteBlock(const Block& block) {
 
 Status ExchangeOp::Open() {
   EEDC_RETURN_IF_ERROR(child_->Open());
-  const int n = fabric_nodes();
+  const int n = port_->num_nodes();
   pending_.clear();
   pending_.reserve(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) pending_.emplace_back(child_->schema());
@@ -264,24 +226,14 @@ Status ExchangeOp::Open() {
     RouteBlock(*block);
   }
   for (int dest = 0; dest < n; ++dest) FlushPending(dest);
-  if (group_ != nullptr) {
-    for (int dest = 0; dest < n; ++dest) group_->channel(dest).SenderDone();
-  } else {
-    port_->SenderDone(node_id_);
-  }
+  port_->SenderDone(node_id_);
   send_complete_ = true;
   return child_->Close();
 }
 
 void ExchangeOp::AbortSend() {
   if (send_complete_) return;
-  if (group_ != nullptr) {
-    for (int dest = 0; dest < group_->num_nodes(); ++dest) {
-      group_->channel(dest).SenderDone();
-    }
-  } else {
-    port_->AbortSend(node_id_);
-  }
+  port_->AbortSend(node_id_);
   send_complete_ = true;
 }
 
@@ -298,21 +250,9 @@ StatusOr<std::optional<Block>> ExchangeOp::Next() {
     const auto entered = std::chrono::steady_clock::now();
     Duration blocked = Duration::Zero();
     bool timed_out = false;
-    std::optional<Block> block;
-    int source_node = node_id_;
-    if (group_ != nullptr) {
-      BlockChannel& channel = group_->channel(node_id_);
-      block = bounded ? channel.ReceiveFor(slice, &blocked, &timed_out)
-                      : channel.Receive(&blocked);
-    } else {
-      std::optional<net::ReceivedBlock> received = port_->Receive(
-          node_id_, bounded ? slice : Duration::Infinite(), &blocked,
-          &timed_out);
-      if (received.has_value()) {
-        source_node = received->source_node;
-        block.emplace(std::move(received->block));
-      }
-    }
+    std::optional<net::ReceivedBlock> received = port_->Receive(
+        node_id_, bounded ? slice : Duration::Infinite(), &blocked,
+        &timed_out);
     if (blocked > Duration::Zero() && metrics_ != nullptr) {
       // A blocked receive is a network/straggler stall, not compute:
       // record the interval so the executor can report it to the
@@ -332,25 +272,23 @@ StatusOr<std::optional<Block>> ExchangeOp::Next() {
       }
       continue;  // re-check the cancel token, then wait another slice
     }
-    if (!block.has_value()) {
+    if (!received.has_value()) {
       // Closed and drained — or poisoned by an aborting peer, in which
       // case we surface the peer's failure instead of a truncated stream.
-      Status reason = group_ != nullptr
-                          ? group_->channel(node_id_).close_reason()
-                          : port_->close_reason();
+      Status reason = port_->close_reason();
       if (!reason.ok()) return reason;
       return std::optional<Block>();
     }
     waited_total = Duration::Zero();
+    Block& block = received->block;
     if (metrics_ != nullptr) {
-      auto& stats =
-          metrics_->exchange(static_cast<std::size_t>(exchange_id()));
-      stats.received_bytes += block->LogicalBytes();
-      if (source_node != node_id_) {
-        stats.received_remote_bytes += block->LogicalBytes();
+      auto& stats = metrics_->exchange(static_cast<std::size_t>(port_->id()));
+      stats.received_bytes += block.LogicalBytes();
+      if (received->source_node != node_id_) {
+        stats.received_remote_bytes += block.LogicalBytes();
       }
     }
-    if (!block->empty()) return std::optional<Block>(std::move(*block));
+    if (!block.empty()) return std::optional<Block>(std::move(block));
   }
 }
 

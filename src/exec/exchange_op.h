@@ -9,17 +9,14 @@
 //   kGather    — all rows are collected on node 0 (final results).
 //
 // Protocol: Open() drains the child, routing rows into per-destination
-// blocks sent through the ExchangeGroup's channels, then signals
-// SenderDone on every channel. Next() yields blocks received on this
-// node's channel. Channels are unbounded, so the drain-then-receive order
-// cannot deadlock. Byte accounting distinguishes remote traffic (crosses
-// the simulated network) from same-node loopback.
-//
-// Alternatively an exchange can ride a net::ExchangePort (the transport
-// fabric): remote blocks then serialize into wire frames with credit-based
-// backpressure, and the port's cooperative drain keeps drain-then-receive
-// deadlock-free despite the bounded buffers (see net/transport.h). Results
-// are identical; the operator only swaps the fabric calls.
+// blocks sent through the exchange's net::ExchangePort, then signals
+// SenderDone. Next() yields blocks the port delivers to this node. Remote
+// blocks serialize into wire frames under credit-based backpressure, and
+// the port's cooperative drain keeps the drain-then-receive order
+// deadlock-free despite the bounded buffers (see net/transport.h). Byte
+// accounting distinguishes remote traffic (crosses the interconnect) from
+// same-node loopback, on the send side and, by the port's provenance, on
+// the receive side.
 #ifndef EEDC_EXEC_EXCHANGE_OP_H_
 #define EEDC_EXEC_EXCHANGE_OP_H_
 
@@ -27,7 +24,6 @@
 #include <vector>
 
 #include "exec/cancel.h"
-#include "exec/channel.h"
 #include "exec/operator.h"
 
 namespace eedc::net {
@@ -42,22 +38,12 @@ const char* ExchangeModeToString(ExchangeMode mode);
 
 class ExchangeOp final : public Operator {
  public:
-  /// `group` is shared by this exchange's instances on all nodes.
-  /// `partition_key` is required for kShuffle (int64 column).
-  /// `destinations` restricts receivers (heterogeneous execution: Wimpy
-  /// scanners ship to Beefy joiners only); empty means all nodes. Gather
-  /// uses destinations[0] (default node 0).
-  static StatusOr<OperatorPtr> Create(OperatorPtr child, ExchangeMode mode,
-                                      std::string partition_key, int node_id,
-                                      ExchangeGroup* group,
-                                      std::vector<int> destinations,
-                                      NodeMetrics* metrics);
-
-  /// Transport-backed variant: blocks ship through `port` (serialized
-  /// frames with credit-based backpressure, net/transport.h) instead of
-  /// the unbounded channel group. Binds the child schema to the port.
-  /// Routing, staging and results are identical to the channel path;
-  /// credit-blocked sends are recorded as NodeMetrics::credit_wait.
+  /// `port` is shared by this exchange's instances on all nodes; Create
+  /// binds the child schema to it. `partition_key` is required for
+  /// kShuffle (int64 column). `destinations` restricts receivers
+  /// (heterogeneous execution: Wimpy scanners ship to Beefy joiners only);
+  /// empty means all nodes. Gather uses destinations[0] (default node 0).
+  /// Credit-blocked sends are recorded as NodeMetrics::credit_wait.
   static StatusOr<OperatorPtr> Create(OperatorPtr child, ExchangeMode mode,
                                       std::string partition_key, int node_id,
                                       net::ExchangePort* port,
@@ -78,29 +64,18 @@ class ExchangeOp final : public Operator {
 
   /// Wires the failure model in: Open/Next observe `cancel` between
   /// blocks, and every Next() receive is bounded — after `receive_timeout`
-  /// of cumulative blocking on one channel the operator gives up with
+  /// of cumulative blocking on the port the operator gives up with
   /// DeadlineExceeded instead of hanging on a dead sender. Either may be
   /// null/infinite to disable. Called by the executor at build time.
   void ConfigureCancellation(CancelToken* cancel, Duration receive_timeout);
 
  private:
   ExchangeOp(OperatorPtr child, ExchangeMode mode, std::string partition_key,
-             int node_id, ExchangeGroup* group, net::ExchangePort* port,
+             int node_id, net::ExchangePort* port,
              std::vector<int> destinations, NodeMetrics* metrics);
 
-  static StatusOr<OperatorPtr> CreateImpl(OperatorPtr child,
-                                          ExchangeMode mode,
-                                          std::string partition_key,
-                                          int node_id, ExchangeGroup* group,
-                                          net::ExchangePort* port,
-                                          std::vector<int> destinations,
-                                          NodeMetrics* metrics);
-
-  int fabric_nodes() const;
-  int exchange_id() const;
-  /// Sends one staged block to `dest` through whichever fabric backs this
-  /// exchange, recording sent-byte/row metrics (and credit waits on the
-  /// transport path).
+  /// Sends one staged block to `dest` through the port, recording
+  /// sent-byte/row metrics and credit waits.
   void ShipBlock(int dest, storage::Block&& block);
   void FlushPending(int dest);
   void RouteBlock(const storage::Block& block);
@@ -114,8 +89,7 @@ class ExchangeOp final : public Operator {
   ExchangeMode mode_;
   std::string partition_key_;
   int node_id_;
-  ExchangeGroup* group_;          // legacy unbounded fabric (may be null)
-  net::ExchangePort* port_;       // transport fabric (may be null)
+  net::ExchangePort* port_;
   NodeMetrics* metrics_;
 
   int key_idx_ = -1;

@@ -14,7 +14,7 @@
 #include "exec/profiled_op.h"
 #include "exec/project_op.h"
 #include "exec/scan_op.h"
-#include "net/transport.h"
+#include "net/inproc.h"
 #include "obs/trace.h"
 #include "storage/partitioner.h"
 
@@ -109,8 +109,7 @@ struct NodeBuildContext {
   int node_id = 0;
   int worker_id = 0;
   NodeMetrics* metrics = nullptr;
-  std::vector<std::unique_ptr<ExchangeGroup>>* groups = nullptr;
-  /// Transport fabric; when non-null it replaces `groups` positionally.
+  /// One port per exchange, indexed by preorder position.
   std::vector<std::unique_ptr<net::ExchangePort>>* ports = nullptr;
   /// Cross-worker shared state for this node; ids below index into it.
   PipelineShared* shared = nullptr;
@@ -188,25 +187,16 @@ StatusOr<OperatorPtr> BuildOpsUnwrapped(const PlanNode& plan,
       EEDC_ASSIGN_OR_RETURN(OperatorPtr child,
                             BuildOps(*plan.children.at(0), ctx));
       const int id = ctx->next_exchange++;
-      const int fabric_size = static_cast<int>(
-          ctx->ports != nullptr ? ctx->ports->size() : ctx->groups->size());
-      if (id >= fabric_size) {
+      if (id >= static_cast<int>(ctx->ports->size())) {
         return Status::Internal(
             "per-node plans disagree on exchange count");
       }
-      StatusOr<OperatorPtr> op_or =
-          ctx->ports != nullptr
-              ? ExchangeOp::Create(
-                    std::move(child), plan.mode, plan.partition_key,
-                    ctx->node_id,
-                    (*ctx->ports)[static_cast<std::size_t>(id)].get(),
-                    plan.destinations, ctx->metrics)
-              : ExchangeOp::Create(
-                    std::move(child), plan.mode, plan.partition_key,
-                    ctx->node_id,
-                    (*ctx->groups)[static_cast<std::size_t>(id)].get(),
-                    plan.destinations, ctx->metrics);
-      EEDC_ASSIGN_OR_RETURN(OperatorPtr op, std::move(op_or));
+      EEDC_ASSIGN_OR_RETURN(
+          OperatorPtr op,
+          ExchangeOp::Create(std::move(child), plan.mode, plan.partition_key,
+                             ctx->node_id,
+                             (*ctx->ports)[static_cast<std::size_t>(id)].get(),
+                             plan.destinations, ctx->metrics));
       auto* exchange = static_cast<ExchangeOp*>(op.get());
       exchange->ConfigureCancellation(ctx->cancel, ctx->receive_timeout);
       ctx->exchange_ops->push_back(exchange);
@@ -353,30 +343,22 @@ StatusOr<QueryResult> Executor::ExecutePerNode(
 
   // The exchange fabric is shared across nodes, created from the first
   // locally-instantiated node's plan; every worker pipeline of every
-  // node (local or not) is a sender. A configured transport replaces the
-  // legacy unbounded channel groups with credit-bounded ports,
-  // positionally (exchange i -> port i).
+  // node (local or not) is a sender. Exchange i rides port i. Without a
+  // configured transport the ports come from a default in-process one
+  // that lives only for this call.
   const int plan0_node = local >= 0 ? local : 0;
   PlanPtr plan0 = plan_for_node(plan0_node);
   const int num_exchanges = CountExchanges(*plan0);
-  std::vector<std::unique_ptr<ExchangeGroup>> groups;
+  net::InProcessTransport default_transport;
+  net::Transport& transport = options_.transport != nullptr
+                                  ? *options_.transport
+                                  : default_transport;
   std::vector<std::unique_ptr<net::ExchangePort>> ports;
-  if (options_.transport != nullptr) {
-    ports.reserve(static_cast<std::size_t>(num_exchanges));
-    for (int i = 0; i < num_exchanges; ++i) {
-      EEDC_ASSIGN_OR_RETURN(
-          std::unique_ptr<net::ExchangePort> port,
-          options_.transport->CreatePort(i, n, node_workers));
-      ports.push_back(std::move(port));
-    }
-  } else {
-    groups.reserve(static_cast<std::size_t>(num_exchanges));
-    for (int i = 0; i < num_exchanges; ++i) {
-      groups.push_back(std::make_unique<ExchangeGroup>(n, i, node_workers));
-      if (options_.channel_metrics != nullptr) {
-        groups.back()->AttachMetrics(options_.channel_metrics);
-      }
-    }
+  ports.reserve(static_cast<std::size_t>(num_exchanges));
+  for (int i = 0; i < num_exchanges; ++i) {
+    EEDC_ASSIGN_OR_RETURN(std::unique_ptr<net::ExchangePort> port,
+                          transport.CreatePort(i, n, node_workers));
+    ports.push_back(std::move(port));
   }
 
   ExecMetrics metrics;
@@ -424,8 +406,7 @@ StatusOr<QueryResult> Executor::ExecutePerNode(
       ctx.node_id = node;
       ctx.worker_id = worker;
       ctx.metrics = &worker_metrics[idx];
-      ctx.groups = &groups;
-      if (options_.transport != nullptr) ctx.ports = &ports;
+      ctx.ports = &ports;
       ctx.shared = shared[static_cast<std::size_t>(node)].get();
       ctx.exchange_ops = &worker_exchanges[idx];
       ctx.cancel = options_.cancel;
@@ -496,20 +477,13 @@ StatusOr<QueryResult> Executor::ExecutePerNode(
       // Unblock peers: every exchange this pipeline never finished sending
       // on must release its SenderDone tokens, every merge barrier on
       // this node must stop waiting for an arrival that won't come, and
-      // every channel is poisoned so no receiver on any node can block on
+      // every port is poisoned so no receiver on any node can block on
       // data that will never arrive (they surface `st` instead of a
-      // truncated stream).
+      // truncated stream) and no sender stays blocked on credit.
       for (ExchangeOp* ex : worker_exchanges[idx]) {
         ex->AbortSend();
       }
       shared[static_cast<std::size_t>(node)]->Abort(st);
-      for (auto& group : groups) {
-        for (int dest = 0; dest < group->num_nodes(); ++dest) {
-          group->channel(dest).Close(st);
-        }
-      }
-      // Poisoning a port also releases credit-blocked senders, not just
-      // receivers — the bounded path's extra hang risk.
       for (auto& port : ports) port->Close(st);
     }
     const auto end = std::chrono::steady_clock::now();
@@ -570,23 +544,19 @@ StatusOr<QueryResult> Executor::ExecutePerNode(
     }
     // Interconnect traffic last: per-node logical bytes shipped to and
     // received from other nodes, for the NIC term of the energy split.
-    // Only the transport fabric attributes receive provenance.
-    if (options_.transport != nullptr) {
-      std::vector<double> tx(static_cast<std::size_t>(n), 0.0);
-      std::vector<double> rx(static_cast<std::size_t>(n), 0.0);
-      for (std::size_t idx = 0; idx < total; ++idx) {
-        const std::size_t node = static_cast<std::size_t>(idx_node[idx]);
-        for (const ExchangeStats& e : worker_metrics[idx].exchanges) {
-          tx[node] += e.sent_remote_bytes;
-          rx[node] += e.received_remote_bytes;
-        }
+    std::vector<double> tx(static_cast<std::size_t>(n), 0.0);
+    std::vector<double> rx(static_cast<std::size_t>(n), 0.0);
+    for (std::size_t idx = 0; idx < total; ++idx) {
+      const std::size_t node = static_cast<std::size_t>(idx_node[idx]);
+      for (const ExchangeStats& e : worker_metrics[idx].exchanges) {
+        tx[node] += e.sent_remote_bytes;
+        rx[node] += e.received_remote_bytes;
       }
-      for (int node = 0; node < n; ++node) {
-        const std::size_t s = static_cast<std::size_t>(node);
-        if (tx[s] > 0.0 || rx[s] > 0.0) {
-          options_.activity_listener->OnNodeNetworkBytes(node, tx[s],
-                                                         rx[s]);
-        }
+    }
+    for (int node = 0; node < n; ++node) {
+      const std::size_t s = static_cast<std::size_t>(node);
+      if (tx[s] > 0.0 || rx[s] > 0.0) {
+        options_.activity_listener->OnNodeNetworkBytes(node, tx[s], rx[s]);
       }
     }
   }
@@ -650,7 +620,7 @@ StatusOr<QueryResult> Executor::ExecutePerNode(
   }
 
   // A cancelled token is the root cause; any pipeline status is secondary
-  // noise (poisoned channels echo the same reason).
+  // noise (poisoned ports echo the same reason).
   if (options_.cancel != nullptr && options_.cancel->cancelled()) {
     return options_.cancel->status();
   }

@@ -5,10 +5,11 @@
 // per-worker operator trees whose scans pull borrowed block ranges from
 // shared atomic morsel dispensers, whose pipeline breakers (hash-join
 // build, hash aggregation) merge per-worker partials at barriers, and
-// whose exchange instances are multi-producer senders into shared channel
-// groups. Worker outputs are concatenated deterministically in
-// (node, worker) order at the root; results are the same multiset of rows
-// at every W. See exec/morsel.h.
+// whose exchange instances are multi-producer senders into one shared
+// net::ExchangePort per exchange (serialized, credit-bounded remote edges;
+// see net/transport.h). Worker outputs are concatenated deterministically
+// in (node, worker) order at the root; results are the same multiset of
+// rows at every W. See exec/morsel.h.
 //
 // Heterogeneous execution (Section 5.2.2): a per-node memory budget can be
 // set, plans may diverge per node through NodePlanFn — e.g. Wimpy nodes
@@ -41,7 +42,6 @@ class Transport;
 }  // namespace eedc::net
 
 namespace eedc::obs {
-class MetricsRegistry;
 class TraceRecorder;
 }  // namespace eedc::obs
 
@@ -137,17 +137,12 @@ class Executor {
     /// pipeline: the receive fails with DeadlineExceeded and the query
     /// aborts. Infinite disables the bound.
     Duration receive_timeout = Duration::Seconds(60.0);
-    /// Interconnect backing the exchanges. Null (the default) keeps the
-    /// legacy unbounded BlockChannel fabric; set to a net::Transport to
-    /// ship remote blocks as serialized, credit-backpressured frames
-    /// (net/transport.h). Results are identical either way. Not owned;
-    /// must outlive every execution.
+    /// Interconnect backing the exchanges: every exchange gets one of its
+    /// ports, which ship remote blocks as serialized, credit-backpressured
+    /// frames (net/transport.h). Null (the default) uses a default-option
+    /// net::InProcessTransport created for each ExecutePerNode call. Not
+    /// owned; must outlive every execution.
     net::Transport* transport = nullptr;
-    /// When set, the legacy channel fabric exports per-channel
-    /// queue-depth / bytes-queued gauges here
-    /// (chan.e<exchange>.n<dest>.*). The transport fabric meters itself
-    /// through its own TransportOptions::metrics instead. Not owned.
-    obs::MetricsRegistry* channel_metrics = nullptr;
     /// -1 (the default) hosts every node's pipelines in this process.
     /// >= 0 runs ONE node's fragment of the distributed plan: only that
     /// node's worker pipelines are instantiated and only its partials
@@ -173,7 +168,7 @@ class Executor {
 
   /// Runs a per-node plan. All plans must contain the same number of
   /// exchanges with matching modes/keys in preorder position (they share
-  /// channel groups positionally) and produce identical output schemas.
+  /// exchange ports positionally) and produce identical output schemas.
   StatusOr<QueryResult> ExecutePerNode(const NodePlanFn& plan_for_node);
 
   /// Resolves the per-node pipeline counts `options` implies for an

@@ -22,9 +22,7 @@ struct ExchangeStats {
   double sent_local_bytes = 0.0;
   double received_bytes = 0.0;
   /// Subset of received_bytes that arrived from a different node (crossed
-  /// the interconnect). Only the transport path can attribute this — the
-  /// legacy BlockChannel erases provenance — so it is 0 under the legacy
-  /// exchange.
+  /// the interconnect), attributed by the port's per-block provenance.
   double received_remote_bytes = 0.0;
   double rows_routed = 0.0;
 };
@@ -56,9 +54,9 @@ class WorkerActivityListener {
   }
   /// Bytes this node moved across the interconnect during the query
   /// (transmitted and received remote frame payload). Emitted once per
-  /// node after the spans and waits, same thread; only the transport
-  /// exchange path reports it. Energy accounting turns these into the
-  /// NIC term of the per-node energy split.
+  /// node that moved any, after the spans and waits, same thread. Energy
+  /// accounting turns these into the NIC term of the per-node energy
+  /// split.
   virtual void OnNodeNetworkBytes(int node, double tx_bytes,
                                   double rx_bytes) {
     (void)node;

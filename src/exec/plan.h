@@ -2,7 +2,7 @@
 //
 // A PlanNode tree describes a distributed query; the Executor instantiates
 // one physical operator tree per node (SPMD) and wires exchange instances
-// together through shared channel groups. Join children are ordered
+// together through shared exchange ports. Join children are ordered
 // (build, probe).
 #ifndef EEDC_EXEC_PLAN_H_
 #define EEDC_EXEC_PLAN_H_

@@ -78,8 +78,8 @@ class InProcessPort final : public ExchangePort {
     if (closed_.load(std::memory_order_acquire)) return;
     if (block.empty()) return;
     if (source == dest) {
-      // Loopback never crosses the NIC: no serialization, no credits —
-      // the legacy unbounded hot path.
+      // Loopback never crosses the NIC: no serialization, no credits,
+      // no bound.
       Inbox& inbox = *inboxes_[static_cast<std::size_t>(dest)];
       {
         std::lock_guard<std::mutex> lock(inbox.mu);
@@ -379,7 +379,16 @@ class InProcessPort final : public ExchangePort {
     for (auto& inbox : inboxes_) {
       {
         std::lock_guard<std::mutex> lock(inbox->mu);
-        if (inbox->senders_remaining > 0) --inbox->senders_remaining;
+        if (inbox->senders_remaining > 0) {
+          --inbox->senders_remaining;
+        } else {
+          // Close() zeroes the counts under this lock, so a closed port
+          // tolerates late senders. On an open port a missing token means
+          // a worker retired twice: every stream would end one sender
+          // early and silently truncate the result.
+          EEDC_CHECK(closed_.load(std::memory_order_relaxed))
+              << "exchange " << id_ << ": SenderDone called too many times";
+        }
       }
       inbox->cv.notify_all();
     }

@@ -1,19 +1,20 @@
 // In-process transport backend: the default interconnect.
 //
-// Frames move through per-node in-memory inboxes, but — unlike the
-// legacy exec::BlockChannel path — remote blocks are really serialized
-// into wire frames (net/wire.h) and really credit-gated: each remote
-// edge holds at most credit_window_frames frames in flight, a credit
-// returning to the sender only when the receiver (or the cycle-breaking
-// spill drain, see net/transport.h) dequeues a frame. Loopback edges
-// skip serialization and credits entirely; small remote blocks coalesce
-// in a per-edge staging block until the coalesce threshold, block
-// capacity, or SenderDone flushes them.
+// Frames move through per-node in-memory inboxes, but remote blocks are
+// really serialized into wire frames (net/wire.h) and really
+// credit-gated: each remote edge holds at most credit_window_frames
+// frames in flight, a credit returning to the sender only when the
+// receiver (or the cycle-breaking spill drain, see net/transport.h)
+// dequeues a frame. Loopback edges skip serialization and credits
+// entirely; small remote blocks coalesce in a per-edge staging block
+// until the coalesce threshold, block capacity, or SenderDone flushes
+// them.
 //
-// This backend exists to make transport behavior testable without
-// sockets: results are identical to the BlockChannel path and to the
-// socket backend, while byte/frame counters, credit waits and
-// backpressure are all real.
+// This is the fabric of every in-process query: the executor creates a
+// default-option one per run when Executor::Options::transport is unset.
+// It also makes transport behavior testable without sockets: results
+// are identical to the socket backend, while byte/frame counters, credit
+// waits and backpressure are all real.
 #ifndef EEDC_NET_INPROC_H_
 #define EEDC_NET_INPROC_H_
 

@@ -19,8 +19,8 @@
 // fall back to an AF_UNIX socketpair when the sandbox forbids TCP
 // (backend name "unix"); framing and credit logic are identical either
 // way. Close() shuts the sockets down, which releases reader threads,
-// blocked writes, and credit-blocked senders — the BlockChannel
-// hang-safety contract extended across the wire.
+// blocked writes, and credit-blocked senders — the port hang-safety
+// contract (net/transport.h) extended across the wire.
 #ifndef EEDC_NET_SOCKET_H_
 #define EEDC_NET_SOCKET_H_
 

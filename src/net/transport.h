@@ -6,10 +6,9 @@
 // may hold at most `credit_window_frames` frames in flight, and a
 // receiver grants a credit back each time it dequeues a frame. A slow
 // receiver therefore stalls its senders at the window instead of letting
-// queues grow without bound (the failure mode of the legacy unbounded
-// BlockChannel path). Loopback edges (source == dest) never cross a NIC:
-// they are credit-exempt and skip serialization, so single-node
-// exchanges keep the legacy hot path.
+// queues grow without bound. Loopback edges (source == dest) never cross
+// a NIC: they are credit-exempt and skip serialization, so a single-node
+// exchange moves blocks by reference.
 //
 // Deadlock safety under the engine's drain-then-receive exchange
 // protocol (exchange_op.h: every worker finishes sending before it
@@ -26,8 +25,7 @@
 // Two backends share this interface: InProcessTransport (net/inproc.h,
 // frames move through in-memory queues; the default) and SocketTransport
 // (net/socket.h, frames cross real byte-stream sockets with the credit
-// protocol as explicit ack bytes). Results are identical across backends
-// and identical to the legacy BlockChannel path.
+// protocol as explicit ack bytes). Results are identical across backends.
 #ifndef EEDC_NET_TRANSPORT_H_
 #define EEDC_NET_TRANSPORT_H_
 
@@ -78,8 +76,7 @@ struct ReceivedBlock {
 };
 
 /// One exchange's fabric: N per-node inboxes written by every worker of
-/// every node. The call protocol mirrors exec::BlockChannel so the
-/// exchange operator treats both paths uniformly:
+/// every node. The call protocol:
 ///
 ///   BindSchema() once per exchange (pre-thread, from plan
 ///   instantiation) -> workers Send() any number of blocks ->
@@ -96,7 +93,7 @@ class ExchangePort {
 
   /// Ships `block` from `source` to `dest`. Blocks while the edge is out
   /// of credit; `credit_wait` (may be null) receives the blocked time.
-  /// Dropped silently after Close(), matching BlockChannel::Send.
+  /// Dropped silently after Close().
   virtual void Send(int source, int dest, storage::Block block,
                     Duration* credit_wait) = 0;
 
@@ -118,9 +115,10 @@ class ExchangePort {
                                                Duration* blocked,
                                                bool* timed_out) = 0;
 
-  /// Poisons the port: queued frames are dropped, blocked receivers
-  /// return nullopt, and — extending the BlockChannel hang-safety
-  /// contract to the bounded path — credit-blocked senders are released.
+  /// Poisons the port: queued frames are dropped, blocked and later
+  /// receivers return nullopt at once, credit-blocked senders are
+  /// released, and late Send/SenderDone/AbortSend calls are no-ops. This
+  /// is the failure path: a crashed sender can never hang its receivers.
   /// Idempotent; the first reason wins.
   virtual void Close(Status reason) = 0;
 

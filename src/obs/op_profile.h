@@ -36,7 +36,7 @@ namespace eedc::obs {
 /// The operator stages the ISSUE's trace records. Join build and probe
 /// are distinct stages of one operator (build happens in Open, probe in
 /// Next), as are an exchange's send (Open drains and routes the child)
-/// and receive (Next blocks on peer channels) phases.
+/// and receive (Next waits on the port for peers) phases.
 enum class OpStage : int {
   kScan = 0,
   kFilter = 1,

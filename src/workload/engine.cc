@@ -203,11 +203,9 @@ Status EngineFleet::Init() {
     nics.push_back(cls->nic_model());
   }
   meter_->SetNicModels(std::move(nics));
-  transport_ = std::make_unique<net::InProcessTransport>();
 
   exec::Executor::Options exec_options = p0.MakeExecutorOptions();
   exec_options.activity_listener = meter_.get();
-  exec_options.transport = transport_.get();
   // Per-operator profiling costs two clock reads per operator call —
   // noise next to a morsel — and turns every Measure into an
   // EXPLAIN ANALYZE (EngineMeasurement::profile).
@@ -320,7 +318,7 @@ StatusOr<FaultMeasurement> EngineFleet::MeasureWithCrash(
 
   // Attempt 1 crashes: a deterministic fuse trips after a handful of
   // cooperative cancellation checks, tearing the query down exactly as a
-  // dead node would — channels poisoned, barriers aborted, partial
+  // dead node would — ports poisoned, barriers aborted, partial
   // results dropped.
   exec::CancelToken token;
   token.CancelAfter(
@@ -331,7 +329,6 @@ StatusOr<FaultMeasurement> EngineFleet::MeasureWithCrash(
       placements_[static_cast<std::size_t>(kind)];
   exec::Executor::Options crash_options = placement.MakeExecutorOptions();
   crash_options.activity_listener = meter_.get();
-  crash_options.transport = transport_.get();
   crash_options.cancel = &token;
   exec::Executor crash_executor(data_.get(), std::move(crash_options));
   meter_->Reset();

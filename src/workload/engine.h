@@ -38,7 +38,6 @@
 #include "exec/executor.h"
 #include "exec/profile.h"
 #include "net/control.h"
-#include "net/inproc.h"
 #include "net/process.h"
 #include "obs/trace.h"
 #include "tpch/dbgen.h"
@@ -241,7 +240,7 @@ class EngineFleet {
 
   /// The crash/recover gate, end-to-end on the real engine: runs `kind`,
   /// kills the query mid-flight via the cancellation fuse (standing in
-  /// for `crash_node` dying — channels poisoned, barriers aborted,
+  /// for `crash_node` dying — ports poisoned, barriers aborted,
   /// partial results dropped, never a truncated table), then fails over
   /// to the survivor sub-fleet and compares the retry's rows against a
   /// fault-free run on the full fleet. Energy is attributed honestly:
@@ -309,11 +308,6 @@ class EngineFleet {
   tpch::TpchDatabase db_;
   std::unique_ptr<exec::ClusterData> data_;
   std::array<cluster::EnginePlacement, kNumQueryKinds> placements_;
-  /// Interconnect behind the single-query executors: remote blocks ship
-  /// as serialized credit-backpressured frames, and the metered traffic
-  /// feeds the meter's NIC term and the profiles' shipped_bytes.
-  /// (MeasureConcurrent's runtime keeps the legacy channel fabric.)
-  std::unique_ptr<net::InProcessTransport> transport_;
   std::unique_ptr<energy::EnergyMeter> meter_;
   std::unique_ptr<exec::Executor> executor_;
   std::array<std::optional<EngineMeasurement>, kNumQueryKinds> cache_;

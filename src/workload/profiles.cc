@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "energy/calibrator.h"
 #include "energy/meter.h"
 #include "exec/executor.h"
 #include "power/catalog.h"
@@ -95,28 +94,6 @@ StatusOr<QueryProfiles> MeasureQueryProfiles(const ProfileOptions& opts) {
     p.deadline = std::max(best_wall * opts.deadline_multiplier,
                           Duration::Millis(10.0));
     p.engine_joules = best_joules;
-  }
-  return profiles;
-}
-
-StatusOr<QueryProfiles> ProfilesFromCalibration(
-    const energy::CalibrationResult& calibration,
-    double deadline_multiplier) {
-  QueryProfiles profiles;
-  for (int k = 0; k < kNumQueryKinds; ++k) {
-    const QueryKind kind = static_cast<QueryKind>(k);
-    const energy::FragmentMeasurement* m =
-        calibration.ForKind(QueryKindName(kind));
-    if (m == nullptr) {
-      return Status::InvalidArgument(
-          std::string("calibration has no fragment for kind ") +
-          QueryKindName(kind));
-    }
-    QueryProfile& p = profiles.For(kind);
-    p.service = m->wall;
-    p.deadline =
-        std::max(m->wall * deadline_multiplier, Duration::Millis(10.0));
-    p.engine_joules = m->energy;
   }
   return profiles;
 }

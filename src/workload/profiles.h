@@ -17,10 +17,6 @@
 #include "power/power_model.h"
 #include "workload/driver.h"
 
-namespace eedc::energy {
-struct CalibrationResult;
-}  // namespace eedc::energy
-
 namespace eedc::tpch {
 struct TpchDatabase;
 }  // namespace eedc::tpch
@@ -54,15 +50,6 @@ struct ProfileOptions {
 
 /// Measures all four query kinds on the real executor.
 StatusOr<QueryProfiles> MeasureQueryProfiles(const ProfileOptions& opts);
-
-/// Distills calibration fragments (energy/calibrator.h, which measures
-/// one fragment per query kind) into driver profiles: per-kind service
-/// demand = measured fragment wall, deadline = multiplier x service
-/// (floored at 10 ms), engine_joules = the metered fragment energy.
-/// Fails if any scheduled kind was not calibrated.
-StatusOr<QueryProfiles> ProfilesFromCalibration(
-    const energy::CalibrationResult& calibration,
-    double deadline_multiplier = 5.0);
 
 }  // namespace eedc::workload
 

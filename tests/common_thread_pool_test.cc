@@ -8,94 +8,6 @@
 namespace eedc {
 namespace {
 
-TEST(ThreadPoolTest, RunsSubmittedTasks) {
-  ThreadPool pool(4);
-  std::atomic<int> counter{0};
-  std::vector<std::future<void>> futures;
-  for (int i = 0; i < 100; ++i) {
-    futures.push_back(pool.Submit([&counter] { ++counter; }));
-  }
-  for (auto& f : futures) f.get();
-  EXPECT_EQ(counter.load(), 100);
-}
-
-TEST(ThreadPoolTest, WaitIdleBlocksUntilDrained) {
-  ThreadPool pool(2);
-  std::atomic<int> done{0};
-  for (int i = 0; i < 32; ++i) {
-    pool.Submit([&done] { ++done; });
-  }
-  pool.WaitIdle();
-  EXPECT_EQ(done.load(), 32);
-}
-
-TEST(ThreadPoolTest, SingleThreadPreservesProgress) {
-  ThreadPool pool(1);
-  std::vector<int> order;
-  std::mutex mu;
-  for (int i = 0; i < 10; ++i) {
-    pool.Submit([&order, &mu, i] {
-      std::lock_guard<std::mutex> lock(mu);
-      order.push_back(i);
-    });
-  }
-  pool.WaitIdle();
-  ASSERT_EQ(order.size(), 10u);
-  // A single worker drains the queue FIFO.
-  for (int i = 0; i < 10; ++i) EXPECT_EQ(order[static_cast<size_t>(i)], i);
-}
-
-TEST(ThreadPoolTest, ExceptionsSurfaceThroughFuture) {
-  ThreadPool pool(2);
-  auto f = pool.Submit([] { throw std::runtime_error("boom"); });
-  EXPECT_THROW(f.get(), std::runtime_error);
-  // Pool stays usable afterwards.
-  auto g = pool.Submit([] {});
-  g.get();
-}
-
-TEST(ThreadPoolTest, ParallelismActuallyHappens) {
-  ThreadPool pool(4);
-  std::atomic<int> concurrent{0};
-  std::atomic<int> peak{0};
-  std::vector<std::future<void>> futures;
-  for (int i = 0; i < 16; ++i) {
-    futures.push_back(pool.Submit([&] {
-      const int now = ++concurrent;
-      int old = peak.load();
-      while (now > old && !peak.compare_exchange_weak(old, now)) {
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
-      --concurrent;
-    }));
-  }
-  for (auto& f : futures) f.get();
-  EXPECT_GT(peak.load(), 1);
-}
-
-TEST(ThreadPoolTest, ConcurrentSubmittersStressCleanShutdown) {
-  // Many producer threads hammering Submit while workers drain; the pool
-  // must count every task and shut down cleanly right after the last one.
-  constexpr int kSubmitters = 8;
-  constexpr int kTasksEach = 500;
-  std::atomic<int> counter{0};
-  {
-    ThreadPool pool(4);
-    std::vector<std::thread> submitters;
-    for (int s = 0; s < kSubmitters; ++s) {
-      submitters.emplace_back([&pool, &counter] {
-        for (int i = 0; i < kTasksEach; ++i) {
-          pool.Submit([&counter] { ++counter; });
-        }
-      });
-    }
-    for (auto& s : submitters) s.join();
-    pool.WaitIdle();
-    EXPECT_EQ(counter.load(), kSubmitters * kTasksEach);
-  }  // destructor joins workers with an empty queue
-  EXPECT_EQ(counter.load(), kSubmitters * kTasksEach);
-}
-
 TEST(WorkCrewTest, EveryMemberRunsOnItsOwnThread) {
   // Members rendezvous before exiting: this only terminates if all of
   // them run concurrently, i.e. each got a dedicated thread.

@@ -1,4 +1,4 @@
-// Cooperative cancellation: token semantics, channel poisoning, and the
+// Cooperative cancellation: token semantics, port poisoning, and the
 // executor tearing a cancelled query down cleanly — an error Status, no
 // partial result, no hang.
 #include "exec/cancel.h"
@@ -8,11 +8,11 @@
 #include <memory>
 #include <string>
 
-#include "exec/channel.h"
 #include "exec/exchange_op.h"
 #include "exec/executor.h"
 #include "exec/reference.h"
 #include "exec/scan_op.h"
+#include "net/inproc.h"
 #include "storage/schema.h"
 #include "tpch/dbgen.h"
 #include "tpch/selectivity.h"
@@ -167,13 +167,21 @@ TablePtr MakeKeyed(int lo, int hi) {
   return t;
 }
 
+/// A two-node, one-worker-each exchange fabric.
+std::unique_ptr<net::ExchangePort> MakeTwoNodePort() {
+  net::InProcessTransport transport;
+  auto port = transport.CreatePort(/*exchange_id=*/0, 2, {1, 1});
+  EXPECT_TRUE(port.ok()) << port.status();
+  return std::move(port).value();
+}
+
 // A peer that never opens its exchange instance models a dead sender:
 // the bounded receive must surface DeadlineExceeded instead of hanging.
 TEST(ExchangeCancelTest, StalledPeerHitsReceiveDeadline) {
-  ExchangeGroup group(2, 0);
+  const auto port = MakeTwoNodePort();
   auto op = ExchangeOp::Create(
       std::make_unique<ScanOp>(MakeKeyed(0, 16), nullptr),
-      ExchangeMode::kShuffle, "key", 0, &group, /*destinations=*/{},
+      ExchangeMode::kShuffle, "key", 0, port.get(), /*destinations=*/{},
       nullptr);
   ASSERT_TRUE(op.ok());
   static_cast<ExchangeOp*>(op->get())
@@ -192,17 +200,17 @@ TEST(ExchangeCancelTest, StalledPeerHitsReceiveDeadline) {
   EXPECT_TRUE((*op)->Close().ok());
 }
 
-// Poison beats silence: a closed channel surfaces its reason through
-// Next() so no consumer ever mistakes a crash for end-of-stream.
+// Poison beats silence: a closed port surfaces its reason through Next()
+// so no consumer ever mistakes a crash for end-of-stream.
 TEST(ExchangeCancelTest, PoisonedChannelSurfacesReason) {
-  ExchangeGroup group(2, 0);
+  const auto port = MakeTwoNodePort();
   auto op = ExchangeOp::Create(
       std::make_unique<ScanOp>(MakeKeyed(0, 16), nullptr),
-      ExchangeMode::kShuffle, "key", 0, &group, /*destinations=*/{},
+      ExchangeMode::kShuffle, "key", 0, port.get(), /*destinations=*/{},
       nullptr);
   ASSERT_TRUE(op.ok());
   ASSERT_TRUE((*op)->Open().ok());
-  group.channel(0).Close(Status::Unavailable("node 1 crashed"));
+  port->Close(Status::Unavailable("node 1 crashed"));
   Status last = Status::OK();
   while (last.ok()) {
     auto block = (*op)->Next();

@@ -1,14 +1,13 @@
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <memory>
 #include <set>
 #include <thread>
+#include <vector>
 
-#include "exec/channel.h"
-#include "obs/metrics_registry.h"
 #include "exec/exchange_op.h"
 #include "exec/scan_op.h"
+#include "net/inproc.h"
 #include "storage/partitioner.h"
 #include "storage/schema.h"
 
@@ -36,114 +35,14 @@ TablePtr MakeKeyed(int lo, int hi) {
   return t;
 }
 
-TEST(BlockChannelTest, SendReceiveFifo) {
-  BlockChannel ch(1);
-  Block b1(KeyedSchema());
-  b1.AppendRow({std::int64_t{1}, std::int64_t{7}});
-  ch.Send(std::move(b1));
-  ch.SenderDone();
-  auto got = ch.Receive();
-  ASSERT_TRUE(got.has_value());
-  EXPECT_EQ(got->size(), 1u);
-  EXPECT_FALSE(ch.Receive().has_value());  // closed and drained
-}
-
-TEST(BlockChannelTest, ReceiveBlocksUntilSend) {
-  BlockChannel ch(1);
-  std::atomic<bool> got{false};
-  std::thread receiver([&ch, &got] {
-    auto block = ch.Receive();
-    got = block.has_value();
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  Block b(KeyedSchema());
-  b.AppendRow({std::int64_t{1}, std::int64_t{1}});
-  ch.Send(std::move(b));
-  ch.SenderDone();
-  receiver.join();
-  EXPECT_TRUE(got.load());
-}
-
-TEST(BlockChannelTest, MultipleSendersAllMustFinish) {
-  BlockChannel ch(3);
-  ch.SenderDone();
-  ch.SenderDone();
-  std::atomic<bool> done{false};
-  std::thread receiver([&ch, &done] {
-    while (ch.Receive().has_value()) {
-    }
-    done = true;
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_FALSE(done.load());  // third sender still open
-  ch.SenderDone();
-  receiver.join();
-  EXPECT_TRUE(done.load());
-}
-
-// Regression: a receive on a closed channel must return immediately with
-// no value and must NOT accrue blocked time — pre-fix, a poisoned
-// channel's receiver could keep charging its wait to exchange metrics.
-TEST(BlockChannelTest, ReceiveAfterCloseReturnsImmediately) {
-  BlockChannel ch(2);
-  Block b(KeyedSchema());
-  b.AppendRow({std::int64_t{1}, std::int64_t{1}});
-  ch.Send(std::move(b));
-  ch.Close(Status::Unavailable("node down"));
-  Duration blocked = Duration::Seconds(0.0);
-  auto got = ch.Receive(&blocked);
-  EXPECT_FALSE(got.has_value());  // queued block discarded by the poison
-  EXPECT_DOUBLE_EQ(blocked.seconds(), 0.0);
-  EXPECT_TRUE(ch.close_reason().IsUnavailable());
-}
-
-TEST(BlockChannelTest, CloseWakesBlockedReceiver) {
-  BlockChannel ch(1);
-  std::atomic<bool> got{true};
-  std::thread receiver([&ch, &got] { got = ch.Receive().has_value(); });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  ch.Close(Status::Cancelled("query cancelled"));
-  receiver.join();
-  EXPECT_FALSE(got.load());
-  EXPECT_TRUE(ch.close_reason().IsCancelled());
-}
-
-TEST(BlockChannelTest, CloseKeepsFirstReasonAndToleratesLateSenders) {
-  BlockChannel ch(2);
-  ch.Close(Status::Unavailable("first"));
-  ch.Close(Status::Cancelled("second"));
-  EXPECT_TRUE(ch.close_reason().IsUnavailable());
-  // Late sends and SenderDone after poison are no-ops, not crashes
-  // (AbortSend teardown races with Close in the executor).
-  Block b(KeyedSchema());
-  b.AppendRow({std::int64_t{1}, std::int64_t{1}});
-  ch.Send(std::move(b));
-  ch.SenderDone();
-  ch.SenderDone();
-  ch.SenderDone();
-  EXPECT_FALSE(ch.Receive().has_value());
-}
-
-TEST(BlockChannelTest, ReceiveForTimesOutOnStalledSender) {
-  BlockChannel ch(1);  // sender never sends: a stalled peer
-  Duration blocked = Duration::Seconds(0.0);
-  bool timed_out = false;
-  auto got = ch.ReceiveFor(Duration::Millis(30.0), &blocked, &timed_out);
-  EXPECT_FALSE(got.has_value());
-  EXPECT_TRUE(timed_out);
-  EXPECT_GE(blocked.seconds(), 0.02);
-}
-
-TEST(BlockChannelTest, ReceiveForDeliversBeforeDeadline) {
-  BlockChannel ch(1);
-  Block b(KeyedSchema());
-  b.AppendRow({std::int64_t{1}, std::int64_t{2}});
-  ch.Send(std::move(b));
-  bool timed_out = false;
-  auto got = ch.ReceiveFor(Duration::Seconds(5.0), nullptr, &timed_out);
-  ASSERT_TRUE(got.has_value());
-  EXPECT_FALSE(timed_out);
-  EXPECT_EQ(got->size(), 1u);
+/// One exchange's fabric over `n` single-worker nodes, from the default
+/// in-process transport.
+std::unique_ptr<net::ExchangePort> MakePort(int n) {
+  net::InProcessTransport transport;
+  auto port = transport.CreatePort(
+      /*exchange_id=*/0, n, std::vector<int>(static_cast<std::size_t>(n), 1));
+  EXPECT_TRUE(port.ok()) << port.status();
+  return std::move(port).value();
 }
 
 // Runs one exchange instance per node over the given local tables and
@@ -153,7 +52,7 @@ std::vector<Table> RunExchange(ExchangeMode mode,
                                std::vector<TablePtr> locals,
                                std::vector<NodeMetrics>* metrics_out) {
   const int n = static_cast<int>(locals.size());
-  ExchangeGroup group(n, 0);
+  const auto port = MakePort(n);
   std::vector<NodeMetrics> metrics(static_cast<std::size_t>(n));
   std::vector<Table> results;
   results.reserve(static_cast<std::size_t>(n));
@@ -165,7 +64,7 @@ std::vector<Table> RunExchange(ExchangeMode mode,
       auto op = ExchangeOp::Create(
           std::make_unique<ScanOp>(locals[static_cast<std::size_t>(node)],
                                    nullptr),
-          mode, key, node, &group, /*destinations=*/{},
+          mode, key, node, port.get(), /*destinations=*/{},
           &metrics[static_cast<std::size_t>(node)]);
       ASSERT_TRUE(op.ok());
       ASSERT_TRUE((*op)->Open().ok());
@@ -182,29 +81,6 @@ std::vector<Table> RunExchange(ExchangeMode mode,
   for (auto& t : threads) t.join();
   if (metrics_out) *metrics_out = std::move(metrics);
   return results;
-}
-
-TEST(BlockChannelTest, BytesQueuedGaugeReadsExactlyZeroAfterDrain) {
-  // Fractional logical widths made the old double accumulator drift
-  // (+= then -= of the same block need not cancel); the integer gauge
-  // must read exactly 0.0 — not merely nearly — once drained.
-  const Schema skewed{Field{"k", DataType::kInt64, 5.3},
-                      Field{"pad", DataType::kString, 17.7}};
-  obs::MetricsRegistry registry;
-  BlockChannel ch(1);
-  ch.AttachMetrics(&registry, "chan.test");
-  for (int round = 0; round < 1000; ++round) {
-    Block b(skewed);
-    for (int r = 0; r < 1 + round % 7; ++r) {
-      b.AppendRow({std::int64_t{round}, std::string("x")});
-    }
-    ch.Send(std::move(b));
-    ASSERT_TRUE(ch.Receive().has_value());
-  }
-  ch.SenderDone();
-  EXPECT_FALSE(ch.Receive().has_value());
-  EXPECT_EQ(registry.gauge("chan.test.queue_depth"), 0.0);
-  EXPECT_EQ(registry.gauge("chan.test.bytes_queued"), 0.0);  // exact
 }
 
 TEST(ExchangeOpTest, ShuffleDeliversEveryRowToItsHashNode) {
@@ -286,18 +162,18 @@ TEST(ExchangeOpTest, GatherCollectsOnNodeZero) {
 }
 
 TEST(ExchangeOpTest, ShuffleRequiresKey) {
-  ExchangeGroup group(2, 0);
+  const auto port = MakePort(2);
   auto op = ExchangeOp::Create(
       std::make_unique<ScanOp>(MakeKeyed(0, 1), nullptr),
-      ExchangeMode::kShuffle, "", 0, &group, {}, nullptr);
+      ExchangeMode::kShuffle, "", 0, port.get(), {}, nullptr);
   EXPECT_FALSE(op.ok());
 }
 
 TEST(ExchangeOpTest, DestinationsOutOfRangeRejected) {
-  ExchangeGroup group(2, 0);
+  const auto port = MakePort(2);
   auto op = ExchangeOp::Create(
       std::make_unique<ScanOp>(MakeKeyed(0, 1), nullptr),
-      ExchangeMode::kShuffle, "key", 0, &group, {5}, nullptr);
+      ExchangeMode::kShuffle, "key", 0, port.get(), {5}, nullptr);
   EXPECT_FALSE(op.ok());
 }
 
@@ -305,7 +181,7 @@ TEST(ExchangeOpTest, DestinationsOutOfRangeRejected) {
 // nodes receive shuffled tuples.
 TEST(ExchangeOpTest, DestinationSubsetReceivesEverything) {
   const int n = 4;
-  ExchangeGroup group(n, 0);
+  const auto port = MakePort(n);
   std::vector<TablePtr> locals = {MakeKeyed(0, 100), MakeKeyed(100, 200),
                                   MakeKeyed(200, 300),
                                   MakeKeyed(300, 400)};
@@ -317,7 +193,7 @@ TEST(ExchangeOpTest, DestinationSubsetReceivesEverything) {
       auto op = ExchangeOp::Create(
           std::make_unique<ScanOp>(locals[static_cast<std::size_t>(node)],
                                    nullptr),
-          ExchangeMode::kShuffle, "key", node, &group,
+          ExchangeMode::kShuffle, "key", node, port.get(),
           /*destinations=*/{0, 1}, nullptr);
       ASSERT_TRUE(op.ok());
       ASSERT_TRUE((*op)->Open().ok());
@@ -344,7 +220,7 @@ TEST(ExchangeOpTest, DestinationSubsetReceivesEverything) {
 // are fragmented (every other row) and when they are contiguous spans.
 TEST(ExchangeOpTest, ShuffleRoutesSelectionRunsCorrectly) {
   const int n = 3;
-  ExchangeGroup group(n, 0);
+  const auto port = MakePort(n);
   std::vector<TablePtr> locals = {MakeKeyed(0, 300), MakeKeyed(300, 600),
                                   MakeKeyed(600, 900)};
   std::vector<Table> results;
@@ -378,7 +254,7 @@ TEST(ExchangeOpTest, ShuffleRoutesSelectionRunsCorrectly) {
       auto op = ExchangeOp::Create(
           std::make_unique<SelectingScan>(
               locals[static_cast<std::size_t>(node)]),
-          ExchangeMode::kShuffle, "key", node, &group, {}, nullptr);
+          ExchangeMode::kShuffle, "key", node, port.get(), {}, nullptr);
       ASSERT_TRUE(op.ok());
       ASSERT_TRUE((*op)->Open().ok());
       while (true) {

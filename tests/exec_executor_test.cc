@@ -199,7 +199,7 @@ TEST(ExecutorTest, MetricsDistinguishLocalAndRemoteShuffleBytes) {
   EXPECT_GT(scanned, 0.0);
   EXPECT_GT(remote, 0.0);
   EXPECT_GT(local, 0.0);
-  // Everything sent is received (local copies loop back through channels).
+  // Everything sent is received (local copies loop back through the port).
   EXPECT_NEAR(received, remote + local, 1.0);
   // With 4 nodes, ~3/4 of routed bytes are remote.
   EXPECT_NEAR(remote / (remote + local), 0.75, 0.05);

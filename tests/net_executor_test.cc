@@ -1,8 +1,9 @@
-// End-to-end interconnect gates: the transport-backed executor must be
-// row-identical to the legacy BlockChannel path across worker counts and
-// query kinds; the metered network traffic must conserve in the energy
-// meter's split; the legacy channel gauges must export; and the workload
-// driver must price shipped bytes in energy-aware dispatch.
+// End-to-end interconnect gates: a 3-node run over the transport must be
+// row-identical to a one-node, one-worker reference (whose edges are all
+// loopback, so nothing serializes) across worker counts and query kinds,
+// with Q1 also checked against the naive reference aggregation; the
+// metered network traffic must conserve in the energy meter's split; and
+// the workload driver must price shipped bytes in energy-aware dispatch.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -16,8 +17,8 @@
 #include "exec/reference.h"
 #include "net/inproc.h"
 #include "net/transport.h"
-#include "obs/metrics_registry.h"
 #include "power/power_model.h"
+#include "tpch/dates.h"
 #include "tpch/dbgen.h"
 #include "workload/driver.h"
 #include "workload/power_policy.h"
@@ -66,11 +67,42 @@ QueryResult RunQuery(ClusterData* data, exec::PlanPtr plan, int workers,
   return std::move(result).value();
 }
 
-TEST(NetExecutorTest, InProcessTransportMatchesLegacyPath) {
-  // The ISSUE acceptance gate: bit-identical results (unordered rows, so
-  // row-identical multisets) between the legacy unbounded channels and
-  // the serialized credit-backpressured transport, at W = 1/2/8 on all
-  // four query kinds.
+/// The independent reference: one node, one worker, over the
+/// unpartitioned tables.
+QueryResult RunReference(exec::PlanPtr plan) {
+  ClusterData data(1);
+  LoadVerticaLayout(&data);
+  return RunQuery(&data, std::move(plan), /*workers=*/1, nullptr);
+}
+
+/// Checks Q1's group keys, sum_qty and count_order against the naive
+/// reference aggregation, which shares no code with the engine.
+void ExpectQ1MatchesReferenceSumBy(const storage::Table& got) {
+  const std::int64_t cutoff = tpch::DayNumber(1998, 9, 2);
+  const storage::Table filtered = exec::ReferenceFilter(
+      *Db().lineitem, [&](const storage::Table& t, std::size_t row) {
+        return t.ColumnByName("l_shipdate").value()->Int64At(row) <=
+               cutoff;
+      });
+  auto want = exec::ReferenceSumBy(
+      filtered, {"l_returnflag", "l_linestatus"}, "l_quantity");
+  ASSERT_TRUE(want.ok()) << want.status();
+  storage::Table projected(want->schema());
+  for (std::size_t i = 0; i < got.num_rows(); ++i) {
+    const double count_order = got.column(6).DoubleAt(i);
+    projected.AppendRow({got.column(0).StringAt(i), got.column(1).StringAt(i),
+                         got.column(2).DoubleAt(i),
+                         static_cast<std::int64_t>(std::llround(count_order))});
+  }
+  std::string diff;
+  EXPECT_TRUE(exec::TablesEqualUnordered(*want, projected, 1e-9, &diff))
+      << diff;
+}
+
+TEST(NetExecutorTest, InProcessTransportMatchesSingleNodeReference) {
+  // Row-identical multisets between the one-node reference and the
+  // serialized credit-backpressured transport on 3 nodes, at W = 1/2/8
+  // on all four query kinds.
   ClusterData data(3);
   LoadVerticaLayout(&data);
   net::InProcessTransport transport;
@@ -80,15 +112,18 @@ TEST(NetExecutorTest, InProcessTransportMatchesLegacyPath) {
     auto plan_or = workload::PlanForKind(kind, Db());
     ASSERT_TRUE(plan_or.ok()) << plan_or.status();
     const exec::PlanPtr plan = std::move(plan_or).value();
+    const QueryResult reference = RunReference(plan);
     for (const int workers : {1, 2, 8}) {
       SCOPED_TRACE(std::string(workload::QueryKindName(kind)) + " W=" +
                    std::to_string(workers));
-      QueryResult legacy = RunQuery(&data, plan, workers, nullptr);
       QueryResult framed = RunQuery(&data, plan, workers, &transport);
       std::string diff;
-      EXPECT_TRUE(exec::TablesEqualUnordered(legacy.table, framed.table,
+      EXPECT_TRUE(exec::TablesEqualUnordered(reference.table, framed.table,
                                              1e-6, &diff))
           << diff;
+      if (kind == QueryKind::kQ1) {
+        ExpectQ1MatchesReferenceSumBy(framed.table);
+      }
       // The transport path really went over the wire: a 3-node shuffle /
       // broadcast / gather ships remote bytes.
       EXPECT_GT(framed.metrics.TotalRemoteBytes(), 0.0);
@@ -108,11 +143,11 @@ TEST(NetExecutorTest, TightCreditWindowStillMatches) {
 
   auto plan_or = workload::PlanForKind(QueryKind::kQ3, Db());
   ASSERT_TRUE(plan_or.ok()) << plan_or.status();
-  QueryResult legacy = RunQuery(&data, plan_or.value(), 2, nullptr);
+  QueryResult reference = RunReference(plan_or.value());
   QueryResult framed = RunQuery(&data, plan_or.value(), 2, &transport);
   std::string diff;
-  EXPECT_TRUE(
-      exec::TablesEqualUnordered(legacy.table, framed.table, 1e-6, &diff))
+  EXPECT_TRUE(exec::TablesEqualUnordered(reference.table, framed.table,
+                                         1e-6, &diff))
       << diff;
 }
 
@@ -180,30 +215,6 @@ TEST(NetExecutorTest, NetworkJoulesConserveInMeterSplit) {
   // A second Finish sees a reset meter: no stale traffic leaks forward.
   const energy::QueryEnergyReport empty = meter.Finish();
   EXPECT_DOUBLE_EQ(empty.network.joules(), 0.0);
-}
-
-TEST(NetExecutorTest, LegacyChannelPathExportsQueueGauges) {
-  ClusterData data(3);
-  LoadVerticaLayout(&data);
-  obs::MetricsRegistry registry;
-
-  Executor::Options options;
-  options.workers_per_node = 2;
-  options.channel_metrics = &registry;
-  Executor executor(&data, std::move(options));
-  auto plan_or = workload::PlanForKind(QueryKind::kQ3, Db());
-  ASSERT_TRUE(plan_or.ok()) << plan_or.status();
-  auto result = executor.Execute(plan_or.value());
-  ASSERT_TRUE(result.ok()) << result.status();
-
-  // Gauges exist for the exchange channels and have drained back to
-  // empty once the query completed.
-  const std::string json = registry.SnapshotJson();
-  EXPECT_NE(json.find("chan.e0.n0.queue_depth"), std::string::npos)
-      << json;
-  EXPECT_NE(json.find("chan.e0.n0.bytes_queued"), std::string::npos);
-  EXPECT_DOUBLE_EQ(registry.gauge("chan.e0.n0.queue_depth"), 0.0);
-  EXPECT_DOUBLE_EQ(registry.gauge("chan.e0.n0.bytes_queued"), 0.0);
 }
 
 TEST(NetExecutorTest, NodeClassNicTermPricesBytes) {

@@ -158,29 +158,35 @@ TEST(SocketTransportTest, CloseReleasesBlockedSendersAndReaders) {
   // Close — no hang, no leak (ASan/TSan jobs run this file too).
 }
 
-TEST(SocketTransportTest, ExecutorRowsMatchLegacyOnMixedFleetQuery) {
-  // The ISSUE acceptance gate for this backend: a real multi-node query
-  // whose shuffles cross actual sockets produces the same row multiset
-  // as the legacy in-memory channels.
+TEST(SocketTransportTest,
+     ExecutorRowsMatchSingleNodeReferenceOnMixedFleetQuery) {
+  // The identity gate for this backend: a real multi-node query whose
+  // shuffles cross actual sockets produces the same row multiset as a
+  // one-node, one-worker run over the unpartitioned tables.
   tpch::DbgenOptions dbgen;
   dbgen.scale_factor = 0.002;
   dbgen.seed = 99;
   const tpch::TpchDatabase db = tpch::GenerateDatabase(dbgen);
+  const auto load = [&db](exec::ClusterData* data) {
+    ASSERT_TRUE(
+        data->LoadHashPartitioned("lineitem", *db.lineitem, "l_orderkey")
+            .ok());
+    ASSERT_TRUE(
+        data->LoadHashPartitioned("orders", *db.orders, "o_custkey").ok());
+    data->LoadReplicated("supplier", db.supplier);
+    data->LoadReplicated("nation", db.nation);
+  };
+  exec::ClusterData reference_data(1);
+  load(&reference_data);
   exec::ClusterData data(3);
-  ASSERT_TRUE(
-      data.LoadHashPartitioned("lineitem", *db.lineitem, "l_orderkey")
-          .ok());
-  ASSERT_TRUE(
-      data.LoadHashPartitioned("orders", *db.orders, "o_custkey").ok());
-  data.LoadReplicated("supplier", db.supplier);
-  data.LoadReplicated("nation", db.nation);
+  load(&data);
 
   auto plan_or = workload::PlanForKind(workload::QueryKind::kQ3, db);
   ASSERT_TRUE(plan_or.ok()) << plan_or.status();
 
-  exec::Executor legacy_exec(&data);
-  auto legacy = legacy_exec.Execute(plan_or.value());
-  ASSERT_TRUE(legacy.ok()) << legacy.status();
+  exec::Executor reference_exec(&reference_data);
+  auto reference = reference_exec.Execute(plan_or.value());
+  ASSERT_TRUE(reference.ok()) << reference.status();
 
   SocketTransport transport;
   exec::Executor::Options options;
@@ -191,7 +197,7 @@ TEST(SocketTransportTest, ExecutorRowsMatchLegacyOnMixedFleetQuery) {
   ASSERT_TRUE(framed.ok()) << framed.status();
 
   std::string diff;
-  EXPECT_TRUE(exec::TablesEqualUnordered(legacy->table, framed->table,
+  EXPECT_TRUE(exec::TablesEqualUnordered(reference->table, framed->table,
                                          1e-6, &diff))
       << diff;
   EXPECT_GT(framed->metrics.TotalRemoteBytes(), 0.0);

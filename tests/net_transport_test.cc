@@ -1,8 +1,9 @@
 // Transport-fabric behavior of the in-process backend (net/inproc.h):
-// multi-node delivery with provenance, small-block coalescing, per-edge
-// metrics, and — the property the bounded path exists for — credit
-// backpressure that stalls senders at the window without ever
-// deadlocking, with Close() releasing credit-blocked senders.
+// multi-node delivery with provenance, end of stream only after every
+// sender, bounded receives, small-block coalescing, per-edge metrics,
+// credit backpressure that stalls senders at the window without ever
+// deadlocking, and Close() poisoning the port: blocked senders and
+// receivers released, the first reason kept, late senders tolerated.
 #include "net/inproc.h"
 
 #include <gtest/gtest.h>
@@ -86,6 +87,27 @@ TEST(InProcessTransportTest, DeliversAcrossNodesWithProvenance) {
   EXPECT_FALSE(timed_out);
 }
 
+TEST(InProcessTransportTest, MultipleSendersAllMustFinish) {
+  InProcessTransport transport;
+  auto port = MakePort(transport, /*nodes=*/3, /*senders_each=*/1);
+  port->SenderDone(0);
+  port->SenderDone(1);
+  // Node 0 gets no data, yet with node 2's sender still open its stream
+  // waits, not ends.
+  std::atomic<bool> done{false};
+  std::thread receiver([&] {
+    while (port->Receive(0, Duration::Infinite(), nullptr, nullptr)
+               .has_value()) {
+    }
+    done.store(true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(done.load());  // third sender still open
+  port->SenderDone(2);
+  receiver.join();
+  EXPECT_TRUE(done.load());
+}
+
 TEST(InProcessTransportTest, SmallRemoteBlocksCoalesceIntoFewerFrames) {
   obs::MetricsRegistry metrics;
   TransportOptions options;
@@ -162,6 +184,65 @@ TEST(InProcessTransportTest, SlowReceiverStallsSenderAtCreditWindow) {
   EXPECT_EQ(received, 10);
 }
 
+// Loopback blocks and remote frames reach a receiver through different
+// queues; the receive cases below run on both, named by the source node
+// that ships to node 1.
+constexpr int kEdgeSources[] = {1, 0};
+const char* EdgeName(int source) {
+  return source == 1 ? "loopback edge" : "remote edge";
+}
+
+TransportOptions OneFramePerSend() {
+  TransportOptions options;
+  options.coalesce_bytes = 0;
+  return options;
+}
+
+TEST(InProcessTransportTest, ReceiveBlocksUntilSend) {
+  for (const int source : kEdgeSources) {
+    SCOPED_TRACE(EdgeName(source));
+    InProcessTransport transport(OneFramePerSend());
+    auto port = MakePort(transport, /*nodes=*/2, /*senders_each=*/1);
+    std::atomic<bool> got{false};
+    std::thread receiver([&] {
+      got.store(port->Receive(1, Duration::Infinite(), nullptr, nullptr)
+                    .has_value());
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    port->Send(source, 1, MakeBlock(KvSchema(), 1, 1), nullptr);
+    receiver.join();
+    EXPECT_TRUE(got.load());
+  }
+}
+
+TEST(InProcessTransportTest, ReceiveForTimesOutOnStalledSender) {
+  // Node 0's sender never sends nor finishes: a stalled peer.
+  InProcessTransport transport;
+  auto port = MakePort(transport, /*nodes=*/2, /*senders_each=*/1);
+  port->SenderDone(1);
+  Duration blocked = Duration::Zero();
+  bool timed_out = false;
+  EXPECT_FALSE(
+      port->Receive(1, Duration::Millis(30.0), &blocked, &timed_out)
+          .has_value());
+  EXPECT_TRUE(timed_out);
+  EXPECT_GE(blocked.seconds(), 0.02);
+}
+
+TEST(InProcessTransportTest, ReceiveForDeliversBeforeDeadline) {
+  for (const int source : kEdgeSources) {
+    SCOPED_TRACE(EdgeName(source));
+    InProcessTransport transport(OneFramePerSend());
+    auto port = MakePort(transport, /*nodes=*/2, /*senders_each=*/1);
+    port->Send(source, 1, MakeBlock(KvSchema(), 1, 1), nullptr);
+    bool timed_out = false;
+    auto got = port->Receive(1, Duration::Seconds(5.0), nullptr, &timed_out);
+    ASSERT_TRUE(got.has_value());
+    EXPECT_FALSE(timed_out);
+    EXPECT_EQ(got->block.size(), 1u);
+  }
+}
+
 TEST(InProcessTransportTest, CloseReleasesCreditBlockedSenders) {
   TransportOptions options;
   options.credit_window_frames = 1;
@@ -191,6 +272,69 @@ TEST(InProcessTransportTest, CloseReleasesCreditBlockedSenders) {
   EXPECT_FALSE(
       port->Receive(1, Duration::Seconds(5.0), nullptr, &timed_out)
           .has_value());
+}
+
+TEST(InProcessTransportTest, ReceiveAfterCloseReturnsImmediately) {
+  for (const int source : kEdgeSources) {
+    SCOPED_TRACE(EdgeName(source));
+    InProcessTransport transport(OneFramePerSend());
+    auto port = MakePort(transport, /*nodes=*/2, /*senders_each=*/1);
+    port->Send(source, 1, MakeBlock(KvSchema(), 1, 1), nullptr);
+    port->Close(Status::Unavailable("node down"));
+    Duration blocked = Duration::Seconds(1.0);
+    bool timed_out = true;
+    // The queued block is discarded by the poison.
+    EXPECT_FALSE(
+        port->Receive(1, Duration::Seconds(5.0), &blocked, &timed_out)
+            .has_value());
+    EXPECT_FALSE(timed_out);
+    EXPECT_EQ(blocked.seconds(), 0.0);
+    EXPECT_TRUE(port->close_reason().IsUnavailable());
+  }
+}
+
+TEST(InProcessTransportTest, CloseWakesBlockedReceiver) {
+  InProcessTransport transport;
+  auto port = MakePort(transport, /*nodes=*/2, /*senders_each=*/1);
+  std::atomic<bool> got{true};
+  std::thread receiver([&] {
+    got.store(port->Receive(1, Duration::Infinite(), nullptr, nullptr)
+                  .has_value());
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  port->Close(Status::Cancelled("query cancelled"));
+  receiver.join();  // hang here = Close left a receiver asleep
+  EXPECT_FALSE(got.load());
+  EXPECT_TRUE(port->close_reason().IsCancelled());
+}
+
+TEST(InProcessTransportTest, CloseKeepsFirstReasonAndToleratesLateSenders) {
+  InProcessTransport transport(OneFramePerSend());
+  auto port = MakePort(transport, /*nodes=*/2, /*senders_each=*/1);
+  port->Close(Status::Unavailable("first"));
+  port->Close(Status::Cancelled("second"));
+  EXPECT_TRUE(port->close_reason().IsUnavailable());
+  // Late sends and surplus sender retirements after the poison are
+  // no-ops, not crashes: AbortSend teardown races with Close in the
+  // executor.
+  port->Send(0, 1, MakeBlock(KvSchema(), 1, 1), nullptr);
+  port->Send(1, 1, MakeBlock(KvSchema(), 2, 1), nullptr);
+  port->SenderDone(0);
+  port->AbortSend(0);
+  port->SenderDone(1);
+  port->SenderDone(1);
+  EXPECT_FALSE(port->Receive(1, Duration::Seconds(5.0), nullptr, nullptr)
+                   .has_value());
+}
+
+TEST(InProcessTransportDeathTest, SurplusSenderDoneOnOpenPortAborts) {
+  InProcessTransport transport;
+  auto port = MakePort(transport, /*nodes=*/2, /*senders_each=*/1);
+  // Node 0's worker retires twice, so node 1's retirement finds no token
+  // left: clamping it would have ended every stream one sender early.
+  port->SenderDone(0);
+  port->SenderDone(0);
+  EXPECT_DEATH(port->SenderDone(1), "SenderDone called too many times");
 }
 
 TEST(InProcessTransportTest, CooperativeDrainBreaksCreditCycles) {
