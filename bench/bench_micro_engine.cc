@@ -1,6 +1,7 @@
 // Microbenchmarks of the P-store engine building blocks (google-benchmark):
-// data generation, scans, filters, hash table build/probe, exchange
-// routing, and the full distributed dual-shuffle join.
+// data generation, scans, filters, hash table build/probe, hash
+// aggregation, exchange routing, and the full distributed dual-shuffle
+// join.
 //
 // In addition to the registered benchmarks, main() runs two end-to-end
 // studies and emits BENCH_micro_engine.json:
@@ -31,6 +32,7 @@
 #include "obs/chrome_trace.h"
 #include "obs/trace.h"
 #include "exec/filter_op.h"
+#include "exec/hash_agg_op.h"
 #include "exec/hash_join_op.h"
 #include "exec/hash_table.h"
 #include "exec/reference.h"
@@ -113,6 +115,119 @@ void BM_HashTableProbeBatch(benchmark::State& state) {
                           state.iterations());
 }
 BENCHMARK(BM_HashTableProbeBatch)->Arg(1 << 14)->Arg(1 << 18);
+
+// ---------------------------------------------------------------------------
+// Hash aggregation on two TPC-H shapes: Q1 (two 1-byte string keys, 4
+// groups, 4 SUMs and a COUNT) and Q3 (three int64 keys, ~20k groups, one
+// SUM). main() copies the rows/s into BENCH_micro_engine.json, ungated.
+// ---------------------------------------------------------------------------
+
+constexpr std::size_t kHashAggRows = 1 << 18;
+
+storage::TablePtr HashAggInput(bool q3_shape) {
+  using storage::DataType;
+  using storage::Field;
+  auto t = std::make_shared<storage::Table>(
+      q3_shape ? storage::Schema({Field{"orderkey", DataType::kInt64, 8},
+                                  Field{"orderdate", DataType::kInt64, 8},
+                                  Field{"shippriority", DataType::kInt64, 8},
+                                  Field{"revenue", DataType::kDouble, 8}})
+               : storage::Schema({Field{"returnflag", DataType::kString, 1},
+                                  Field{"linestatus", DataType::kString, 1},
+                                  Field{"quantity", DataType::kDouble, 8},
+                                  Field{"price", DataType::kDouble, 8},
+                                  Field{"disc_price", DataType::kDouble, 8},
+                                  Field{"charge", DataType::kDouble, 8}}));
+  t->Reserve(kHashAggRows);
+  for (std::size_t i = 0; i < kHashAggRows; ++i) {
+    const double v = static_cast<double>(i % 1000) * 1.5;
+    if (q3_shape) {
+      // ~13 lines per order over 20k orders, in scattered order.
+      const auto order = static_cast<std::int64_t>((i * 7919) % 20000);
+      t->AppendRow({order + 1, 700 + order % 2400, std::int64_t{0}, v});
+    } else {
+      const char* flags[] = {"A", "N", "N", "R"};
+      const char* status[] = {"F", "F", "O", "F"};
+      const std::size_t g = (i * 2654435761u >> 7) % 4;
+      t->AppendRow({std::string(flags[g]), std::string(status[g]), v,
+                    v * 2.0, v * 0.9, v * 0.95});
+    }
+  }
+  return t;
+}
+
+/// Drains a single-pipeline HashAggOp of the given shape over `input`.
+std::size_t RunHashAgg(const storage::TablePtr& input, bool q3_shape) {
+  using exec::AggSpec;
+  using exec::Col;
+  auto agg =
+      q3_shape
+          ? exec::HashAggOp::Create(
+                std::make_unique<exec::ScanOp>(input, nullptr),
+                {"orderkey", "orderdate", "shippriority"},
+                {AggSpec::Sum(Col("revenue"), "revenue")}, nullptr)
+          : exec::HashAggOp::Create(
+                std::make_unique<exec::ScanOp>(input, nullptr),
+                {"returnflag", "linestatus"},
+                {AggSpec::Sum(Col("quantity"), "sum_qty"),
+                 AggSpec::Sum(Col("price"), "sum_base_price"),
+                 AggSpec::Sum(Col("disc_price"), "sum_disc_price"),
+                 AggSpec::Sum(Col("charge"), "sum_charge"),
+                 AggSpec::Count("count_order")},
+                nullptr);
+  EEDC_CHECK(agg.ok()) << agg.status();
+  EEDC_CHECK((*agg)->Open().ok());
+  auto block = (*agg)->Next();
+  EEDC_CHECK(block.ok() && block->has_value());
+  EEDC_CHECK((*agg)->Close().ok());
+  return (*block)->size();
+}
+
+/// Arg 0: the Q1 shape; arg 1: the Q3 shape.
+void BM_HashAgg(benchmark::State& state) {
+  const bool q3_shape = state.range(0) == 1;
+  const storage::TablePtr input = HashAggInput(q3_shape);
+  std::size_t groups = 0;
+  for (auto _ : state) {
+    groups = RunHashAgg(input, q3_shape);
+    benchmark::DoNotOptimize(groups);
+  }
+  state.counters["groups"] = static_cast<double>(groups);
+  state.SetItemsProcessed(static_cast<std::int64_t>(kHashAggRows) *
+                          state.iterations());
+}
+BENCHMARK(BM_HashAgg)->Arg(0)->Arg(1);
+
+/// Forwards every run to the display reporter --benchmark_format picked
+/// and keeps BM_HashAgg's rows/s for BENCH_micro_engine.json.
+class HashAggCapture : public benchmark::BenchmarkReporter {
+ public:
+  HashAggCapture(benchmark::BenchmarkReporter* display,
+                 bench::BenchJson* json)
+      : display_(display), json_(json) {}
+
+  bool ReportContext(const Context& context) override {
+    return display_->ReportContext(context);
+  }
+  void ReportRuns(const std::vector<Run>& runs) override {
+    for (const Run& run : runs) {
+      const std::string name = run.benchmark_name();
+      const auto rate = run.counters.find("items_per_second");
+      if (!name.starts_with("BM_HashAgg/") || rate == run.counters.end()) {
+        continue;
+      }
+      json_->Add(name == "BM_HashAgg/1" ? "hash_agg_q3_rows_per_sec"
+                                        : "hash_agg_q1_rows_per_sec",
+                 rate->second.value);
+    }
+    display_->ReportRuns(runs);
+  }
+  void Finalize() override { display_->Finalize(); }
+
+ private:
+  benchmark::BenchmarkReporter* display_;
+  bench::BenchJson* json_;
+};
 
 tpch::TpchDatabase& SharedDb() {
   static tpch::TpchDatabase db = [] {
@@ -598,11 +713,16 @@ int main(int argc, char** argv) {
   argc = kept_argc;
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
+  bench::BenchJson json("micro_engine");
+  {
+    std::unique_ptr<benchmark::BenchmarkReporter> display(
+        benchmark::CreateDefaultDisplayReporter());
+    HashAggCapture capture(display.get(), &json);
+    benchmark::RunSpecifiedBenchmarks(&capture);
+  }
   benchmark::Shutdown();
   std::streambuf* saved = nullptr;
   if (machine_stdout) saved = std::cout.rdbuf(std::cerr.rdbuf());
-  bench::BenchJson json("micro_engine");
   bool ok = RunPipelineComparison(&json);
   ok = RunWorkerSweep(&json) && ok;
   ok = RunTracingOverheadStudy(&json, trace_out) && ok;

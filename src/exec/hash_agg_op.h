@@ -5,11 +5,17 @@
 // distributed aggregation exact: partials emit SUM and COUNT columns, the
 // final phase SUMs them.
 //
+// Execution is a block at a time: each block's GROUP BY columns are packed
+// into 64-bit words and found-or-inserted in one GroupTable (a group id
+// per row), then every aggregate runs one typed loop over (group id,
+// value) into a column-major accumulator.
+//
 // Morsel parallelism: with `shared` set at Create, this instance is one of
 // W per-worker pipeline clones. Each aggregates its own (morsel-fed) input
 // into a private AggPartial; the instances rendezvous at the shared
-// MergeBarrier, whose last arriver folds the partials (in worker order)
-// into AggMergeShared::merged. Only worker 0 emits the merged groups.
+// MergeBarrier, whose last arriver folds the partials (in worker order,
+// each partial's groups in first-seen order) into AggMergeShared::merged.
+// Only worker 0 emits the merged groups, in first-seen order.
 #ifndef EEDC_EXEC_HASH_AGG_OP_H_
 #define EEDC_EXEC_HASH_AGG_OP_H_
 
@@ -62,20 +68,21 @@ class HashAggOp final : public Operator {
   const storage::Schema& schema() const override { return schema_; }
 
  private:
-  HashAggOp(OperatorPtr child, std::vector<std::string> group_by,
+  HashAggOp(OperatorPtr child, std::vector<int> group_idx,
             std::vector<AggSpec> aggs, storage::Schema schema,
             NodeMetrics* metrics, AggMergeShared* shared, int worker_id);
 
+  /// An empty state: no groups, one accumulator column per aggregate.
+  AggPartial NewPartial() const;
   /// Opens, drains and closes the child, accumulating into local_.
   Status Drain();
   /// Barrier leader: folds every worker's partial into shared_->merged,
   /// in worker order.
   void MergePartials();
-  /// Folds one group's accumulators into the matching `dst` slot.
-  void CombineGroup(AggGroup* dst, const AggGroup& src) const;
 
   OperatorPtr child_;
-  std::vector<std::string> group_by_;
+  /// GROUP BY column indices in the child's schema.
+  std::vector<int> group_idx_;
   std::vector<AggSpec> aggs_;
   storage::Schema schema_;
   NodeMetrics* metrics_;

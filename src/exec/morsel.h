@@ -13,12 +13,22 @@
 //     streams into per-worker partial build tables + hash tables, then meet
 //     at a MergeBarrier whose last arriver splices the partials (in worker
 //     order) into the one table every worker probes.
-//   - AggMergeShared — one per hash aggregation. Per-worker partial group
-//     states are merged at the barrier; only worker 0 emits the result.
+//   - AggMergeShared — one per hash aggregation. Each worker folds its
+//     blocks into a private AggPartial: a GroupTable that packs every
+//     row's GROUP BY values into fixed-width 64-bit words and finds or
+//     inserts a whole block at once, plus column-major accumulators. The
+//     barrier leader re-keys each partial's groups into one merged table;
+//     only worker 0 emits the result.
 //
 // Determinism: morsel *assignment* is racy, but every merge walks partials
 // in worker order and each partial preserves its own processing order, so
-// the result is the same multiset of rows at every worker count.
+// the result is the same multiset of rows at every worker count. In an
+// aggregation the morsel assignment alone fixes the order a group's values
+// are added in: a partial adds them in input-row order, the merge folds
+// partials in worker order and each partial's groups in first-seen order,
+// and the output keeps first-seen order. Packing keys into words changes
+// which slot a group lands in, never that order, so sums of exactly
+// representable values (and every sum at one worker) are bit-identical.
 #ifndef EEDC_EXEC_MORSEL_H_
 #define EEDC_EXEC_MORSEL_H_
 
@@ -28,11 +38,10 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/statusor.h"
+#include "exec/group_table.h"
 #include "exec/hash_table.h"
 #include "storage/block.h"
 #include "storage/table.h"
@@ -149,20 +158,14 @@ struct JoinBuildShared {
   PartitionedJoinHashTable hash_table;
 };
 
-/// One aggregation group: its (serialized) key, key values, and one
-/// accumulator slot per AggSpec.
-struct AggGroup {
-  std::string key;
-  std::vector<storage::Value> keys;
-  std::vector<double> accum;
-  std::vector<bool> initialized;
-};
-
 /// The hash-aggregation state of one pipeline instance (or of the merged
-/// result): groups in insertion order plus the key -> index map.
+/// result): the groups, keyed by packed GROUP BY words in one
+/// open-addressing table (exec/group_table.h), and one accumulator column
+/// per AggSpec, indexed by group id (COUNT counts in a double, exact up to
+/// 2^53 rows).
 struct AggPartial {
-  std::unordered_map<std::string, std::size_t> index;
-  std::vector<AggGroup> groups;
+  GroupTable groups;
+  std::vector<std::vector<double>> accum;
 };
 
 /// Per-worker partial aggregation states, merged at the barrier; worker 0

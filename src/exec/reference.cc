@@ -118,27 +118,48 @@ StatusOr<Table> ReferenceSumBy(const Table& input,
 
 namespace {
 
-/// Renders a row as a canonical string; doubles are rounded so values equal
-/// within tolerance serialize identically (tolerance handled by rounding to
-/// 9 significant digits).
-std::string RowKey(const Table& t, std::size_t row) {
-  std::string key;
-  for (std::size_t c = 0; c < t.num_columns(); ++c) {
-    const Column& col = t.column(c);
-    switch (col.type()) {
-      case DataType::kInt64:
-        key += StrFormat("i%lld|",
-                         static_cast<long long>(col.Int64At(row)));
-        break;
-      case DataType::kDouble:
-        key += StrFormat("d%.9g|", col.DoubleAt(row));
-        break;
-      case DataType::kString:
-        key += "s" + col.StringAt(row) + "|";
-        break;
+/// Three-way compare of rows x and y of one column: int64s and strings
+/// exactly, doubles by value with every NaN after every number.
+int CompareCells(const Column& col, std::size_t x, std::size_t y) {
+  switch (col.type()) {
+    case DataType::kInt64: {
+      const std::int64_t a = col.Int64At(x), b = col.Int64At(y);
+      return (a > b) - (a < b);
+    }
+    case DataType::kDouble: {
+      const double a = col.DoubleAt(x), b = col.DoubleAt(y);
+      if (std::isnan(a) || std::isnan(b)) {
+        return static_cast<int>(std::isnan(a)) -
+               static_cast<int>(std::isnan(b));
+      }
+      return (a > b) - (a < b);
+    }
+    case DataType::kString: {
+      const int r = col.StringAt(x).compare(col.StringAt(y));
+      return (r > 0) - (r < 0);
     }
   }
-  return key;
+  return 0;
+}
+
+/// Row ids of `t` sorted lexicographically by CompareCells, column by
+/// column.
+std::vector<std::size_t> SortedRows(const Table& t) {
+  std::vector<const Column*> columns;
+  for (std::size_t c = 0; c < t.num_columns(); ++c) {
+    columns.push_back(&t.column(c));
+  }
+  std::vector<std::size_t> rows(t.num_rows());
+  for (std::size_t i = 0; i < rows.size(); ++i) rows[i] = i;
+  std::sort(rows.begin(), rows.end(),
+            [&columns](std::size_t x, std::size_t y) {
+              for (const Column* col : columns) {
+                const int r = CompareCells(*col, x, y);
+                if (r != 0) return r < 0;
+              }
+              return false;
+            });
+  return rows;
 }
 
 }  // namespace
@@ -165,19 +186,10 @@ bool TablesEqualUnordered(const Table& a, const Table& b, double eps,
     }
   }
 
-  // Sort both tables' rows by canonical key, then compare pairwise with
-  // numeric tolerance (the key rounding may still differ at boundaries, so
-  // the final comparison re-checks doubles numerically).
-  std::vector<std::size_t> ia(a.num_rows()), ib(b.num_rows());
-  for (std::size_t i = 0; i < ia.size(); ++i) ia[i] = i;
-  for (std::size_t i = 0; i < ib.size(); ++i) ib[i] = i;
-  std::vector<std::string> ka(a.num_rows()), kb(b.num_rows());
-  for (std::size_t i = 0; i < ka.size(); ++i) ka[i] = RowKey(a, i);
-  for (std::size_t i = 0; i < kb.size(); ++i) kb[i] = RowKey(b, i);
-  std::sort(ia.begin(), ia.end(),
-            [&ka](std::size_t x, std::size_t y) { return ka[x] < ka[y]; });
-  std::sort(ib.begin(), ib.end(),
-            [&kb](std::size_t x, std::size_t y) { return kb[x] < kb[y]; });
+  // Sort both tables' rows with a typed comparator, then compare pairwise
+  // with numeric tolerance for doubles.
+  const std::vector<std::size_t> ia = SortedRows(a);
+  const std::vector<std::size_t> ib = SortedRows(b);
 
   for (std::size_t i = 0; i < ia.size(); ++i) {
     const std::size_t ra = ia[i], rb = ib[i];

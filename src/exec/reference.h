@@ -35,9 +35,11 @@ StatusOr<storage::Table> ReferenceSumBy(
     const storage::Table& input, const std::vector<std::string>& group_cols,
     const std::string& value_col);
 
-/// Compares tables as unordered multisets of rows. Doubles compare with
-/// relative tolerance `eps`. On mismatch returns false and, if `diff` is
-/// non-null, a human-readable reason.
+/// Compares tables as unordered multisets of rows. Both sides are sorted
+/// with a typed comparator (int64s and strings exactly, doubles by value)
+/// and compared row by row, doubles with relative tolerance `eps`. On
+/// mismatch returns false and, if `diff` is non-null, a human-readable
+/// reason.
 bool TablesEqualUnordered(const storage::Table& a, const storage::Table& b,
                           double eps, std::string* diff);
 

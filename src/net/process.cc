@@ -6,6 +6,7 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <cstdio>
 #include <mutex>
 #include <set>
 #include <thread>
@@ -94,6 +95,9 @@ StatusOr<std::unique_ptr<ProcessFleet>> ProcessFleet::Spawn(
       }
     }
   };
+  // A child inherits unflushed stdio buffers and would write them again
+  // when it exits, so every line printed before the fork would repeat.
+  std::fflush(nullptr);
   for (int i = 0; i < num_nodes; ++i) {
     const pid_t pid = ::fork();
     if (pid < 0) {

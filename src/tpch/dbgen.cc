@@ -141,8 +141,32 @@ void GenerateOrdersAndLineitem(const DbgenOptions& options, Table* orders,
   Rng rng(options.seed ^ 0x0Eu);
   *orders = Table(OrdersSchema());
   *lineitem = Table(LineitemSchema());
+  // Up to 7 lines per order: the bound keeps lineitem's columns from ever
+  // reallocating (untouched reserved pages cost no resident memory).
   orders->Reserve(num_orders);
-  lineitem->Reserve(num_orders * 4);
+  lineitem->Reserve(num_orders * 7);
+
+  // Typed column appends, in schema order (tpch/schema.cc).
+  storage::Column& o_orderkey = orders->mutable_column(0);
+  storage::Column& o_custkey = orders->mutable_column(1);
+  storage::Column& o_totalprice = orders->mutable_column(2);
+  storage::Column& o_orderdate = orders->mutable_column(3);
+  storage::Column& o_orderpriority = orders->mutable_column(4);
+  storage::Column& o_shippriority = orders->mutable_column(5);
+  storage::Column& l_orderkey = lineitem->mutable_column(0);
+  storage::Column& l_partkey = lineitem->mutable_column(1);
+  storage::Column& l_suppkey = lineitem->mutable_column(2);
+  storage::Column& l_linenumber = lineitem->mutable_column(3);
+  storage::Column& l_quantity = lineitem->mutable_column(4);
+  storage::Column& l_extendedprice = lineitem->mutable_column(5);
+  storage::Column& l_discount = lineitem->mutable_column(6);
+  storage::Column& l_tax = lineitem->mutable_column(7);
+  storage::Column& l_returnflag = lineitem->mutable_column(8);
+  storage::Column& l_linestatus = lineitem->mutable_column(9);
+  storage::Column& l_shipdate = lineitem->mutable_column(10);
+  storage::Column& l_commitdate = lineitem->mutable_column(11);
+  storage::Column& l_receiptdate = lineitem->mutable_column(12);
+  storage::Column& l_shipmode = lineitem->mutable_column(13);
 
   const std::int64_t max_order_date = MaxOrderDate();
   const std::int64_t current_date = CurrentDate();
@@ -163,27 +187,39 @@ void GenerateOrdersAndLineitem(const DbgenOptions& options, Table* orders,
       const std::int64_t shipdate = orderdate + rng.UniformInt(1, 121);
       const std::int64_t commitdate = orderdate + rng.UniformInt(30, 90);
       const std::int64_t receiptdate = shipdate + rng.UniformInt(1, 30);
-      std::string returnflag;
+      // RNG order per line: the return-flag draw, then part, supplier and
+      // ship mode.
+      const char* returnflag = "N";
       if (receiptdate <= current_date) {
         returnflag = rng.Bernoulli(0.5) ? "R" : "A";
-      } else {
-        returnflag = "N";
       }
-      const std::string linestatus = shipdate > current_date ? "O" : "F";
       total_price += extended * (1.0 + tax) * (1.0 - discount);
 
-      lineitem->AppendRow(
-          {orderkey, rng.UniformInt(1, num_parts),
-           rng.UniformInt(1, num_suppliers), static_cast<std::int64_t>(ln),
-           quantity, extended, discount, tax, returnflag, linestatus,
-           shipdate, commitdate, receiptdate,
-           std::string(kShipModes[rng.UniformInt(0, 6)])});
+      l_orderkey.AppendInt64(orderkey);
+      l_partkey.AppendInt64(rng.UniformInt(1, num_parts));
+      l_suppkey.AppendInt64(rng.UniformInt(1, num_suppliers));
+      l_linenumber.AppendInt64(ln);
+      l_quantity.AppendDouble(quantity);
+      l_extendedprice.AppendDouble(extended);
+      l_discount.AppendDouble(discount);
+      l_tax.AppendDouble(tax);
+      l_returnflag.AppendString(returnflag);
+      l_linestatus.AppendString(shipdate > current_date ? "O" : "F");
+      l_shipdate.AppendInt64(shipdate);
+      l_commitdate.AppendInt64(commitdate);
+      l_receiptdate.AppendInt64(receiptdate);
+      l_shipmode.AppendString(kShipModes[rng.UniformInt(0, 6)]);
     }
 
-    orders->AppendRow({orderkey, custkey, total_price, orderdate,
-                       std::string(kPriorities[rng.UniformInt(0, 4)]),
-                       std::int64_t{0}});
+    o_orderkey.AppendInt64(orderkey);
+    o_custkey.AppendInt64(custkey);
+    o_totalprice.AppendDouble(total_price);
+    o_orderdate.AppendInt64(orderdate);
+    o_orderpriority.AppendString(kPriorities[rng.UniformInt(0, 4)]);
+    o_shippriority.AppendInt64(0);
   }
+  orders->FinishBulkLoad();
+  lineitem->FinishBulkLoad();
 }
 
 TpchDatabase GenerateDatabase(const DbgenOptions& options) {

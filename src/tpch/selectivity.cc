@@ -23,17 +23,23 @@ StatusOr<std::int64_t> ThresholdForSelectivity(const Table& table,
   if (col->empty()) {
     return Status::FailedPrecondition("selectivity on empty table");
   }
-  std::vector<std::int64_t> sorted(col->int64s().begin(),
-                                   col->int64s().end());
-  std::sort(sorted.begin(), sorted.end());
-  if (fraction >= 1.0) return sorted.back() + 1;
+  const auto values = col->int64s();
+  if (fraction >= 1.0) {
+    return *std::max_element(values.begin(), values.end()) + 1;
+  }
   const auto idx = static_cast<std::size_t>(
-      std::llround(fraction * static_cast<double>(sorted.size())));
-  if (idx == 0) return sorted.front();  // nothing (or nearly nothing) passes
+      std::llround(fraction * static_cast<double>(values.size())));
+  if (idx == 0) {  // nothing (or nearly nothing) passes
+    return *std::min_element(values.begin(), values.end());
+  }
   // `idx` rows should satisfy `value < threshold`: pick the idx-th order
   // statistic as the threshold (ties may admit a few extra rows; the tests
-  // bound the error).
-  return sorted[std::min(idx, sorted.size() - 1)];
+  // bound the error). nth_element finds it in linear time.
+  std::vector<std::int64_t> scratch(values.begin(), values.end());
+  const auto nth = scratch.begin() + static_cast<std::ptrdiff_t>(
+                                         std::min(idx, scratch.size() - 1));
+  std::nth_element(scratch.begin(), nth, scratch.end());
+  return *nth;
 }
 
 StatusOr<double> AchievedSelectivity(const Table& table,

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "exec/hash_join_op.h"
 #include "exec/reference.h"
@@ -202,7 +204,84 @@ TEST(ReferenceTest, TablesEqualUnorderedDetectsDifferences) {
   Table d(a->schema());
   d.AppendRowFrom(*a, 0);
   EXPECT_FALSE(TablesEqualUnordered(*a, d, 1e-9, &diff));
+  EXPECT_EQ(diff, "row count 3 vs 1");
+
+  // Shape and type mismatches keep their messages.
+  auto keys = std::make_shared<Table>(
+      Schema({Field{"o_key", DataType::kInt64, 5}}));
+  EXPECT_FALSE(TablesEqualUnordered(*a, *keys, 1e-9, &diff));
+  EXPECT_EQ(diff, "column count 2 vs 1");
+  Table retyped(Schema({Field{"o_key", DataType::kInt64, 5},
+                        Field{"o_val", DataType::kInt64, 5}}));
+  for (std::int64_t i = 0; i < 3; ++i) retyped.AppendRow({i, i});
+  EXPECT_FALSE(TablesEqualUnordered(*a, retyped, 1e-9, &diff));
+  EXPECT_EQ(diff, "column 1 type mismatch");
+
+  // Typed multisets over int64, string and double columns.
+  const Schema schema({Field{"k", DataType::kInt64, 5},
+                       Field{"s", DataType::kString, 8},
+                       Field{"v", DataType::kDouble, 5}});
+  const auto make = [&schema](
+                        const std::vector<std::vector<storage::Value>>& rows) {
+    Table t(schema);
+    for (const auto& row : rows) t.AppendRow(row);
+    return t;
+  };
+  const Table m = make({{std::int64_t{2}, std::string("b"), 0.5},
+                        {std::int64_t{1}, std::string("zz"), 1e12},
+                        {std::int64_t{1}, std::string("a"), -3.25},
+                        {std::int64_t{-7}, std::string(""), 0.0}});
+  // Permuted rows.
+  EXPECT_TRUE(TablesEqualUnordered(
+      m,
+      make({{std::int64_t{1}, std::string("a"), -3.25},
+            {std::int64_t{-7}, std::string(""), 0.0},
+            {std::int64_t{2}, std::string("b"), 0.5},
+            {std::int64_t{1}, std::string("zz"), 1e12}}),
+      1e-9, &diff))
+      << diff;
+  // Doubles within eps (relative above 1, absolute below) match; beyond
+  // eps they do not.
+  const Table near = make({{std::int64_t{1}, std::string("zz"), 1e12 + 100},
+                           {std::int64_t{-7}, std::string(""), 1e-10},
+                           {std::int64_t{2}, std::string("b"), 0.5},
+                           {std::int64_t{1}, std::string("a"), -3.25}});
+  EXPECT_TRUE(TablesEqualUnordered(m, near, 1e-9, &diff)) << diff;
+  EXPECT_FALSE(TablesEqualUnordered(m, near, 1e-12, &diff));
   EXPECT_FALSE(diff.empty());
+  // A difference in the row that sorts last is found too.
+  EXPECT_FALSE(TablesEqualUnordered(
+      m,
+      make({{std::int64_t{2}, std::string("b"), 0.75},
+            {std::int64_t{1}, std::string("zz"), 1e12},
+            {std::int64_t{1}, std::string("a"), -3.25},
+            {std::int64_t{-7}, std::string(""), 0.0}}),
+      1e-9, &diff));
+  // Strings and int64s compare exactly.
+  EXPECT_FALSE(TablesEqualUnordered(
+      m,
+      make({{std::int64_t{2}, std::string("b"), 0.5},
+            {std::int64_t{1}, std::string("zz "), 1e12},
+            {std::int64_t{1}, std::string("a"), -3.25},
+            {std::int64_t{-7}, std::string(""), 0.0}}),
+      1e-9, &diff));
+  EXPECT_FALSE(TablesEqualUnordered(
+      m,
+      make({{std::int64_t{2}, std::string("b"), 0.5},
+            {std::int64_t{1}, std::string("zz"), 1e12},
+            {std::int64_t{1}, std::string("a"), -3.25},
+            {std::int64_t{-6}, std::string(""), 0.0}}),
+      1e-9, &diff));
+  // Same distinct rows and row count, different multiplicities.
+  const Table twice_first = make({{std::int64_t{1}, std::string("a"), 1.0},
+                                  {std::int64_t{1}, std::string("a"), 1.0},
+                                  {std::int64_t{2}, std::string("b"), 2.0}});
+  const Table twice_last = make({{std::int64_t{2}, std::string("b"), 2.0},
+                                 {std::int64_t{1}, std::string("a"), 1.0},
+                                 {std::int64_t{2}, std::string("b"), 2.0}});
+  EXPECT_FALSE(TablesEqualUnordered(twice_first, twice_last, 1e-9, &diff));
+  EXPECT_FALSE(TablesEqualUnordered(twice_last, twice_first, 1e-9, &diff));
+  EXPECT_TRUE(TablesEqualUnordered(twice_first, twice_first, 0.0, &diff));
 }
 
 }  // namespace

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <vector>
+
 #include "tpch/dbgen.h"
 
 namespace eedc::tpch {
@@ -75,6 +79,32 @@ TEST(SelectivityTest, MonotoneInFraction) {
     ASSERT_TRUE(t.ok());
     EXPECT_GE(*t, prev);
     prev = *t;
+  }
+}
+
+TEST(SelectivityTest, ThresholdIsTheOrderStatisticOfAFullSort) {
+  DbgenOptions opts;
+  opts.scale_factor = 0.005;
+  const TpchDatabase db = GenerateDatabase(opts);
+  // o_orderkey's values are distinct, so a neighbouring order statistic
+  // would differ; the other two columns repeat values.
+  for (const auto& [table, column] :
+       std::vector<std::pair<storage::TablePtr, std::string>>{
+           {db.orders, "o_orderkey"},
+           {db.orders, "o_custkey"},
+           {db.lineitem, "l_shipdate"}}) {
+    const auto values = table->ColumnByName(column).value()->int64s();
+    std::vector<std::int64_t> sorted(values.begin(), values.end());
+    std::sort(sorted.begin(), sorted.end());
+    for (double f : {0.0, 1e-6, 0.13, 0.5, 0.999, 1.0}) {
+      const auto idx = static_cast<std::size_t>(
+          std::llround(f * static_cast<double>(sorted.size())));
+      const std::int64_t want =
+          f >= 1.0 ? sorted.back() + 1
+                   : sorted[std::min(idx, sorted.size() - 1)];
+      EXPECT_EQ(ThresholdForSelectivity(*table, column, f).value(), want)
+          << column << " at " << f;
+    }
   }
 }
 
