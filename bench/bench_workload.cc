@@ -3,8 +3,8 @@
 //
 // Two parts:
 //   1. REPORT — measures per-kind service demand and per-query joules on
-//      the real morsel engine (workload/profiles.h). Host-dependent, so
-//      reported but not gated.
+//      the real morsel engine (EngineFleet::MeasuredProfiles on a 2W
+//      fleet). Host-dependent, so reported but not gated.
 //   2. GATE — replays fixed seeded arrival traces (Poisson and bursty)
 //      through the virtual-time driver with synthetic uniform profiles
 //      under three power policies. Virtual time makes these metrics
@@ -17,12 +17,14 @@
 #include <cstdio>
 
 #include "bench_util.h"
+#include "cluster/cluster_config.h"
+#include "cluster/node_class.h"
 #include "common/str_util.h"
 #include "power/catalog.h"
 #include "workload/arrival.h"
 #include "workload/driver.h"
+#include "workload/engine.h"
 #include "workload/power_policy.h"
-#include "workload/profiles.h"
 
 namespace {
 
@@ -121,12 +123,25 @@ bool RunGate(bench::BenchJson* json) {
 }
 
 void RunEngineProfileReport(bench::BenchJson* json) {
-  ProfileOptions opts;
-  opts.scale_factor = 0.002;
-  opts.nodes = 2;
-  opts.workers_per_node = 2;
-  opts.repetitions = 2;
-  auto profiles = MeasureQueryProfiles(opts);
+  // Two wimpy nodes of two pipelines each, metered with the wimpy class's
+  // power model.
+  auto fleet = cluster::ClusterConfig::FromRegistry(
+      cluster::NodeClassRegistry::PaperDefault(), {{"wimpy", 2}});
+  if (!fleet.ok()) {
+    bench::PrintNote("engine fleet construction failed: " +
+                     fleet.status().ToString());
+    return;
+  }
+  EngineFleetOptions options;
+  options.scale_factor = 0.002;
+  options.repetitions = 2;
+  auto engine = EngineFleet::Create(*fleet, options);
+  if (!engine.ok()) {
+    bench::PrintNote("engine fleet setup failed: " +
+                     engine.status().ToString());
+    return;
+  }
+  auto profiles = (*engine)->MeasuredProfiles();
   if (!profiles.ok()) {
     bench::PrintNote("engine profiling failed: " +
                      profiles.status().ToString());

@@ -1,25 +1,11 @@
 #include "energy/attribution.h"
 
-#include <algorithm>
 #include <map>
 #include <utility>
 
 #include "common/check.h"
-#include "energy/meter.h"
 
 namespace eedc::energy {
-
-namespace {
-
-/// A sweep event: at `at`, query slot `slot` gains (+1) or loses (-1) an
-/// active worker on the node being swept.
-struct Event {
-  double at = 0.0;
-  int slot = 0;
-  int delta = 0;
-};
-
-}  // namespace
 
 ConcurrentEnergyReport AttributeConcurrent(
     std::span<const exec::TaggedWorkerSpan> spans,
@@ -33,7 +19,7 @@ ConcurrentEnergyReport AttributeConcurrent(
   std::map<int, std::size_t> slot_of;
   for (const exec::TaggedWorkerSpan& s : spans) {
     slot_of.emplace(s.query, 0);
-    if (s.end > report.wall) report.wall = s.end;
+    if (!s.is_wait && s.end > report.wall) report.wall = s.end;
   }
   report.queries.reserve(slot_of.size());
   for (auto& [query, slot] : slot_of) {
@@ -41,72 +27,42 @@ ConcurrentEnergyReport AttributeConcurrent(
     report.queries.push_back(QueryEnergyShare{query});
   }
   const std::size_t num_queries = report.queries.size();
+  const std::size_t num_nodes = node_models.size();
 
-  for (int node = 0; node < static_cast<int>(node_models.size()); ++node) {
-    // Carve exchange waits out per query: worker ids collide across
-    // co-running queries, so the (worker -> wait) pairing is only
-    // meaningful within one query's spans.
-    std::vector<Event> events;
-    for (const auto& [query, slot] : slot_of) {
-      std::vector<WorkerSpan> busy;
-      std::vector<WorkerSpan> waits;
-      for (const exec::TaggedWorkerSpan& s : spans) {
-        if (s.node != node || s.query != query) continue;
-        (s.is_wait ? waits : busy)
-            .push_back(WorkerSpan{s.node, s.worker, s.begin, s.end});
-      }
-      for (const WorkerSpan& s : SubtractWaits(busy, waits)) {
-        if (s.end <= s.begin) continue;
-        events.push_back(
-            Event{s.begin.seconds(), static_cast<int>(slot), +1});
-        events.push_back(Event{s.end.seconds(), static_cast<int>(slot), -1});
-        report.queries[slot].busy += s.end - s.begin;
+  // Bucket the log by (node, query) once. Worker ids collide across
+  // co-running queries, so a wait pairs with busy spans of its own query
+  // only.
+  std::vector<std::vector<WorkerSpan>> busy(num_nodes * num_queries);
+  std::vector<std::vector<WorkerSpan>> waits(num_nodes * num_queries);
+  for (const exec::TaggedWorkerSpan& s : spans) {
+    if (s.node < 0 || static_cast<std::size_t>(s.node) >= num_nodes) {
+      continue;
+    }
+    const std::size_t bucket =
+        static_cast<std::size_t>(s.node) * num_queries + slot_of.at(s.query);
+    (s.is_wait ? waits : busy)[bucket].push_back(
+        WorkerSpan{s.node, s.worker, s.begin, s.end});
+  }
+
+  std::vector<Energy> joules(num_queries, Energy::Zero());
+  std::vector<std::vector<WorkerSpan>> computing(num_queries);
+  report.node_steps.resize(num_nodes);
+  for (std::size_t node = 0; node < num_nodes; ++node) {
+    for (std::size_t q = 0; q < num_queries; ++q) {
+      const std::size_t bucket = node * num_queries + q;
+      computing[q] = SubtractWaits(busy[bucket], waits[bucket]);
+      for (const WorkerSpan& s : computing[q]) {
+        if (s.end > s.begin) report.queries[q].busy += s.end - s.begin;
       }
     }
-    std::sort(events.begin(), events.end(),
-              [](const Event& a, const Event& b) { return a.at < b.at; });
-
-    const power::PowerModel& model = *node_models[static_cast<std::size_t>(
-        node)];
-    const int width = workers_per_node[static_cast<std::size_t>(node)];
-    std::vector<int> active(num_queries, 0);
-    int active_total = 0;
-    double t = 0.0;
-    std::size_t i = 0;
-    // Sweep [0, wall): each step prices the node at its *combined*
-    // utilization and splits the joules by active worker counts.
-    const auto emit = [&](double until) {
-      const double dt = until - t;
-      if (dt <= 0.0) return;
-      Energy step = Energy::Zero();
-      if (active_total > 0) {
-        const double u =
-            std::min(1.0, static_cast<double>(active_total) / width);
-        step = model.WattsAt(u) * Duration::Seconds(dt);
-        for (std::size_t q = 0; q < num_queries; ++q) {
-          if (active[q] == 0) continue;
-          report.queries[q].joules +=
-              step * (static_cast<double>(active[q]) /
-                      static_cast<double>(active_total));
-        }
-      } else {
-        step = model.IdleWatts() * Duration::Seconds(dt);
-        report.unattributed_idle += step;
-      }
-      report.total += step;
-      t = until;
-    };
-    while (i < events.size()) {
-      const double at = events[i].at;
-      emit(at);
-      while (i < events.size() && events[i].at == at) {
-        active[static_cast<std::size_t>(events[i].slot)] +=
-            events[i].delta;
-        active_total += events[i].delta;
-        ++i;
-      }
-    }
-    emit(report.wall.seconds());
+    const EnergySplit split = SweepNodeEnergy(
+        computing, workers_per_node[node], report.wall, *node_models[node],
+        joules, &report.node_steps[node]);
+    report.unattributed_idle += split.idle;
+    report.total += split.busy + split.idle;
+  }
+  for (std::size_t q = 0; q < num_queries; ++q) {
+    report.queries[q].joules = joules[q];
   }
   return report;
 }

@@ -4,12 +4,14 @@
 // a multi-query runtime (exec::ExecutorRuntime) overlaps several queries on
 // one worker pool, the node's wattage at an instant is a joint function of
 // every query's active workers and no query owns it outright.
-// AttributeConcurrent resolves that: it sweeps the runtime's tagged span
-// log per node (waits carved out per query first), prices each
-// piecewise-constant step at the power model of the node's *combined*
-// utilization, and splits the step's joules across queries proportionally
-// to their active worker counts. Steps where no query is active accrue to
-// `unattributed_idle` — capacity the co-run left on the table.
+// AttributeConcurrent resolves that with the meter's own sweep
+// (SweepNodeEnergy, meter.h) in its many-query case: it buckets the
+// runtime's tagged span log by node and query once, carves each query's
+// waits out of its busy spans, prices each piecewise-constant step at the
+// power model of the node's *combined* utilization, and splits the step's
+// joules across queries proportionally to their active worker counts.
+// Steps where no query is active accrue to `unattributed_idle` — capacity
+// the co-run left on the table.
 //
 // Conservation holds by construction, not by reconciliation: the fleet
 // total and the per-query shares come from one sweep, so
@@ -22,6 +24,7 @@
 #include <vector>
 
 #include "common/units.h"
+#include "energy/meter.h"
 #include "exec/runtime.h"
 #include "power/power_model.h"
 
@@ -41,10 +44,13 @@ struct ConcurrentEnergyReport {
   Energy total = Energy::Zero();
   /// Idle-watt joules of steps where no query had an active worker.
   Energy unattributed_idle = Energy::Zero();
-  /// Shared-timeline horizon: max tagged span end across all nodes.
+  /// Shared-timeline horizon: max busy span end across all nodes.
   Duration wall = Duration::Zero();
   /// Per-query shares, ascending by query id.
   std::vector<QueryEnergyShare> queries;
+  /// Per node (index = node id), the sweep's steps: how many workers
+  /// computed over each stretch of [0, wall).
+  std::vector<std::vector<ActiveStep>> node_steps;
 
   Energy QueryJoules(int query) const {
     for (const QueryEnergyShare& q : queries) {

@@ -7,48 +7,6 @@
 
 namespace eedc::energy {
 
-UtilizationTrace BuildUtilizationTrace(std::span<const WorkerSpan> spans,
-                                       int workers_per_node,
-                                       Duration horizon) {
-  EEDC_CHECK(workers_per_node > 0);
-  // Sweep the span boundaries: +1 at begin, -1 at end, sorted by time.
-  std::vector<std::pair<double, int>> events;
-  events.reserve(spans.size() * 2);
-  for (const WorkerSpan& s : spans) {
-    const double b = std::clamp(s.begin.seconds(), 0.0, horizon.seconds());
-    const double e = std::clamp(s.end.seconds(), 0.0, horizon.seconds());
-    if (e <= b) continue;
-    events.emplace_back(b, +1);
-    events.emplace_back(e, -1);
-  }
-  std::sort(events.begin(), events.end());
-
-  UtilizationTrace trace;
-  double t = 0.0;
-  int active = 0;
-  std::size_t i = 0;
-  while (i < events.size()) {
-    const double at = events[i].first;
-    if (at > t) {
-      trace.push_back(UtilizationStep{
-          Duration::Seconds(t), Duration::Seconds(at),
-          std::min(1.0, static_cast<double>(active) / workers_per_node)});
-      t = at;
-    }
-    // Apply every event at this instant before emitting the next step.
-    while (i < events.size() && events[i].first == at) {
-      active += events[i].second;
-      ++i;
-    }
-  }
-  if (t < horizon.seconds()) {
-    trace.push_back(UtilizationStep{
-        Duration::Seconds(t), horizon,
-        std::min(1.0, static_cast<double>(active) / workers_per_node)});
-  }
-  return trace;
-}
-
 std::vector<WorkerSpan> SubtractWaits(std::span<const WorkerSpan> spans,
                                       std::span<const WorkerSpan> waits) {
   std::vector<WorkerSpan> out;
@@ -83,18 +41,79 @@ std::vector<WorkerSpan> SubtractWaits(std::span<const WorkerSpan> spans,
   return out;
 }
 
-EnergySplit IntegrateTrace(const UtilizationTrace& trace,
-                           const power::PowerModel& model) {
+EnergySplit SweepNodeEnergy(std::span<const std::vector<WorkerSpan>> busy,
+                            int workers, Duration horizon,
+                            const power::PowerModel& model,
+                            std::span<Energy> query_joules,
+                            std::vector<ActiveStep>* steps) {
+  EEDC_CHECK(workers > 0);
+  EEDC_CHECK(query_joules.empty() || query_joules.size() == busy.size());
+  // At `at`, query `slot` gains (+1) or loses (-1) a computing worker.
+  struct Event {
+    double at;
+    int slot;
+    int delta;
+  };
+  std::vector<Event> events;
+  for (std::size_t q = 0; q < busy.size(); ++q) {
+    for (const WorkerSpan& s : busy[q]) {
+      const double b = std::clamp(s.begin.seconds(), 0.0, horizon.seconds());
+      const double e = std::clamp(s.end.seconds(), 0.0, horizon.seconds());
+      if (e <= b) continue;
+      events.push_back(Event{b, static_cast<int>(q), +1});
+      events.push_back(Event{e, static_cast<int>(q), -1});
+    }
+  }
+  std::sort(events.begin(), events.end(),
+            [](const Event& x, const Event& y) { return x.at < y.at; });
+
   EnergySplit split;
-  for (const UtilizationStep& step : trace) {
-    const Duration dt = step.end - step.begin;
-    if (dt.seconds() <= 0.0) continue;
-    if (step.utilization > 0.0) {
-      split.busy += model.WattsAt(step.utilization) * dt;
+  std::vector<int> active(busy.size(), 0);
+  std::vector<int> live;  // slots with active > 0, in no particular order
+  int active_total = 0;
+  double t = 0.0;
+  const auto emit = [&](double until) {
+    if (until <= t) return;
+    const Duration dt = Duration::Seconds(until - t);
+    if (active_total > 0) {
+      const Energy step =
+          model.WattsAt(std::min(
+              1.0, static_cast<double>(active_total) / workers)) *
+          dt;
+      split.busy += step;
+      if (!query_joules.empty()) {
+        for (const int q : live) {
+          const auto slot = static_cast<std::size_t>(q);
+          query_joules[slot] += step * (static_cast<double>(active[slot]) /
+                                        static_cast<double>(active_total));
+        }
+      }
     } else {
       split.idle += model.IdleWatts() * dt;
     }
+    if (steps != nullptr) {
+      steps->push_back(ActiveStep{Duration::Seconds(t),
+                                  Duration::Seconds(until), active_total});
+    }
+    t = until;
+  };
+  for (std::size_t i = 0; i < events.size();) {
+    const double at = events[i].at;
+    emit(at);
+    // Apply every event at this instant before pricing the next step.
+    for (; i < events.size() && events[i].at == at; ++i) {
+      const int q = events[i].slot;
+      int& count = active[static_cast<std::size_t>(q)];
+      if (count == 0) live.push_back(q);
+      count += events[i].delta;
+      active_total += events[i].delta;
+      if (count == 0) {
+        *std::find(live.begin(), live.end(), q) = live.back();
+        live.pop_back();
+      }
+    }
   }
+  emit(horizon.seconds());
   return split;
 }
 
@@ -158,34 +177,30 @@ void EnergyMeter::SetNicModels(std::vector<NicModel> nic_models) {
 
 QueryEnergyReport EnergyMeter::Finish(AttemptKind kind) {
   QueryEnergyReport report;
+  const std::size_t num_nodes = node_models_.size();
+  std::vector<std::vector<WorkerSpan>> node_spans(num_nodes);
+  std::vector<std::vector<WorkerSpan>> node_waits(num_nodes);
   for (const WorkerSpan& s : spans_) {
     if (s.end > report.wall) report.wall = s.end;
+    node_spans[static_cast<std::size_t>(s.node)].push_back(s);
   }
-  report.nodes.reserve(node_models_.size());
-  for (int node = 0; node < static_cast<int>(node_models_.size());
-       ++node) {
-    std::vector<WorkerSpan> node_spans;
-    std::vector<WorkerSpan> node_waits;
+  for (const WorkerSpan& w : waits_) {
+    node_waits[static_cast<std::size_t>(w.node)].push_back(w);
+  }
+  report.nodes.reserve(num_nodes);
+  for (std::size_t node = 0; node < num_nodes; ++node) {
     Duration raw = Duration::Zero();
-    for (const WorkerSpan& s : spans_) {
-      if (s.node != node) continue;
-      node_spans.push_back(s);
-      raw += s.end - s.begin;
-    }
-    for (const WorkerSpan& w : waits_) {
-      if (w.node == node) node_waits.push_back(w);
-    }
-    // Exchange waits are not compute: carve them out before building the
-    // utilization curve so stalls are priced at the remaining workers'
-    // utilization (idle watts when the whole node blocks).
+    for (const WorkerSpan& s : node_spans[node]) raw += s.end - s.begin;
+    // Exchange waits are not compute: carve them out before the sweep so
+    // stalls are priced at the remaining workers' utilization (idle
+    // watts when the whole node blocks).
     const std::vector<WorkerSpan> busy_spans =
-        SubtractWaits(node_spans, node_waits);
+        SubtractWaits(node_spans[node], node_waits[node]);
     Duration busy = Duration::Zero();
     for (const WorkerSpan& s : busy_spans) busy += s.end - s.begin;
-    const int node_workers =
-        workers_per_node_[static_cast<std::size_t>(node)];
+    const int node_workers = workers_per_node_[node];
     NodeEnergyReport nr;
-    nr.node = node;
+    nr.node = static_cast<int>(node);
     nr.busy = busy;
     nr.waiting = raw - busy;
     nr.wall = report.wall;
@@ -194,14 +209,13 @@ QueryEnergyReport EnergyMeter::Finish(AttemptKind kind) {
           1.0, busy.seconds() /
                    (node_workers * report.wall.seconds()));
     }
-    nr.joules = IntegrateTrace(
-        BuildUtilizationTrace(busy_spans, node_workers, report.wall),
-        *node_models_[static_cast<std::size_t>(node)]);
-    nr.network_bytes = net_bytes_[static_cast<std::size_t>(node)];
+    // The sweep's one-query case: the lone query's share of every busy
+    // step is the whole step, so the node split is the query's bill.
+    nr.joules = SweepNodeEnergy({&busy_spans, 1}, node_workers, report.wall,
+                                *node_models_[node], {});
+    nr.network_bytes = net_bytes_[node];
     if (!nic_models_.empty()) {
-      nr.joules.network =
-          nic_models_[static_cast<std::size_t>(node)].EnergyForBytes(
-              nr.network_bytes);
+      nr.joules.network = nic_models_[node].EnergyForBytes(nr.network_bytes);
     }
     report.total += nr.joules.total();
     report.busy += nr.joules.busy;

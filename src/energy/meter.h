@@ -13,9 +13,11 @@
 // toward utilization and its stall is priced at idle watts when the whole
 // node is waiting.
 //
-// The integration primitives (BuildUtilizationTrace / IntegrateTrace) are
-// exposed as free functions so tests can feed hand-built synthetic traces
-// and compare against hand-computed joules.
+// One sweep (SweepNodeEnergy) does the integration for every caller: the
+// meter is its one-query case plus the NIC term, and
+// AttributeConcurrent (attribution.h) is its many-query case. It is a
+// free function so tests can feed hand-built spans and compare against
+// hand-computed joules.
 #ifndef EEDC_ENERGY_METER_H_
 #define EEDC_ENERGY_METER_H_
 
@@ -36,22 +38,6 @@ struct WorkerSpan {
   Duration begin = Duration::Zero();
   Duration end = Duration::Zero();
 };
-
-/// One step of a piecewise-constant utilization curve over [begin, end).
-struct UtilizationStep {
-  Duration begin = Duration::Zero();
-  Duration end = Duration::Zero();
-  double utilization = 0.0;  // fraction in [0, 1]
-};
-using UtilizationTrace = std::vector<UtilizationStep>;
-
-/// Folds one node's (possibly overlapping) worker spans into its
-/// utilization step function over [0, horizon): at any instant,
-/// utilization = (number of busy workers) / workers_per_node, capped at 1.
-/// Steps tile the horizon exactly; zero-utilization gaps are explicit.
-UtilizationTrace BuildUtilizationTrace(std::span<const WorkerSpan> spans,
-                                       int workers_per_node,
-                                       Duration horizon);
 
 /// Splits each busy span around the wait intervals of the same
 /// (node, worker), returning the sub-spans during which the worker was
@@ -74,10 +60,28 @@ struct EnergySplit {
   Energy total() const { return busy + idle + network; }
 };
 
-/// Integrates f(u(t)) dt over the trace with the rectangle rule (the
-/// steps are exact, so the integral is exact up to floating point).
-EnergySplit IntegrateTrace(const UtilizationTrace& trace,
-                           const power::PowerModel& model);
+/// One step of a node's energy sweep: over [begin, end) `active` of its
+/// workers computed (exchange waits excluded). Steps tile the horizon.
+struct ActiveStep {
+  Duration begin = Duration::Zero();
+  Duration end = Duration::Zero();
+  int active = 0;
+};
+
+/// The one energy sweep over a node's compute spans. `busy[q]` holds
+/// query q's spans on the node, exchange waits already carved out by
+/// SubtractWaits. Over [0, horizon) the count of computing workers is
+/// piecewise constant; a step with `active` of them draws
+/// WattsAt(min(1, active / workers)) and bills it as busy, a step with
+/// none draws idle watts. Each busy step's joules are split across
+/// queries by their active-worker counts and added to query_joules[q]
+/// (pass an empty span to skip the split). Steps are appended to `steps`
+/// when it is non-null. Returns the node's busy and idle joules.
+EnergySplit SweepNodeEnergy(std::span<const std::vector<WorkerSpan>> busy,
+                            int workers, Duration horizon,
+                            const power::PowerModel& model,
+                            std::span<Energy> query_joules,
+                            std::vector<ActiveStep>* steps = nullptr);
 
 /// Explicit NIC energy model, replacing the old idle-watt approximation
 /// of network cost: shipping `bytes` across the interconnect costs

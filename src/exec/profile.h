@@ -3,7 +3,8 @@
 // (common/table_printer) or JSON.
 //
 // Built from ExecMetrics after a profiled run (Executor::Options::
-// profile_operators); EngineFleet::Measure enables profiling and returns
+// profile_operators). EngineFleet's metered runs (Measure, RunOnce and
+// the crash attempt) are all profiled, and EngineFleet::Measure returns
 // one of these per measurement.
 #ifndef EEDC_EXEC_PROFILE_H_
 #define EEDC_EXEC_PROFILE_H_

@@ -19,9 +19,10 @@
 // same trace.
 //
 // Service demands come from QueryProfiles — either measured on the real
-// engine (profiles.h runs each query kind through the executor with the
-// EnergyMeter attached) or fixed synthetic values for deterministic tests
-// and CI gates. A class's per-kind rate divides the profile demand.
+// engine (EngineFleet::MeasuredProfiles in engine.h runs each query kind
+// on a placed fleet with the EnergyMeter attached) or fixed synthetic
+// values for deterministic tests and CI gates. A class's per-kind rate
+// divides the profile demand.
 #ifndef EEDC_WORKLOAD_DRIVER_H_
 #define EEDC_WORKLOAD_DRIVER_H_
 

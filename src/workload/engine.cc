@@ -6,7 +6,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <map>
+#include <functional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -118,6 +118,16 @@ class FragmentTransport final : public net::Transport {
   net::TransportOptions options_;
 };
 
+/// A process-fleet run as a failover attempt. Energy stays unmetered on
+/// that path (see ProcessRun).
+StatusOr<EngineRun> Unmetered(StatusOr<ProcessRun> run) {
+  if (!run.ok()) return run.status();
+  EngineRun out;
+  out.wall = run->wall;
+  out.table = std::move(run->table);
+  return out;
+}
+
 }  // namespace
 
 void AddEnergyByClass(
@@ -146,11 +156,11 @@ StatusOr<std::unique_ptr<EngineFleet>> EngineFleet::Create(
   }
   // Not make_unique: the constructor is private.
   std::unique_ptr<EngineFleet> engine(new EngineFleet(fleet, options));
-  EEDC_RETURN_IF_ERROR(engine->Init());
+  EEDC_RETURN_IF_ERROR(engine->Init(/*promote_joiner_when_no_beefy=*/false));
   return engine;
 }
 
-Status EngineFleet::Init() {
+Status EngineFleet::Init(bool promote_joiner_when_no_beefy) {
   tpch::DbgenOptions dbgen;
   dbgen.scale_factor = options_.scale_factor;
   dbgen.seed = options_.seed;
@@ -170,9 +180,8 @@ Status EngineFleet::Init() {
 
   cluster::PlacementOptions placement_options;
   placement_options.replicated_tables = {"supplier", "nation"};
-  placement_options.morsel_rows = options_.morsel_rows;
   placement_options.promote_joiner_when_no_beefy =
-      options_.promote_joiner_when_no_beefy;
+      promote_joiner_when_no_beefy;
   const cluster::PlacementPolicy policy(placement_options);
   for (int k = 0; k < kNumQueryKinds; ++k) {
     const QueryKind kind = static_cast<QueryKind>(k);
@@ -204,19 +213,39 @@ Status EngineFleet::Init() {
   }
   meter_->SetNicModels(std::move(nics));
 
-  exec::Executor::Options exec_options = p0.MakeExecutorOptions();
-  exec_options.activity_listener = meter_.get();
+  exec_options_ = p0.MakeExecutorOptions();
+  exec_options_.activity_listener = meter_.get();
   // Per-operator profiling costs two clock reads per operator call —
   // noise next to a morsel — and turns every Measure into an
   // EXPLAIN ANALYZE (EngineMeasurement::profile).
-  exec_options.profile_operators = true;
-  executor_ =
-      std::make_unique<exec::Executor>(data_.get(), std::move(exec_options));
+  exec_options_.profile_operators = true;
 
   // Fork the node processes before any query spawns worker threads (a
   // multi-threaded fork is where the trouble lives).
   if (options_.process_fleet) EEDC_RETURN_IF_ERROR(EnsureProcessFleet());
   return Status::OK();
+}
+
+StatusOr<EngineRun> EngineFleet::RunMetered(
+    QueryKind kind, energy::AttemptKind attr, exec::CancelToken* cancel,
+    energy::QueryEnergyReport* energy, exec::ExecMetrics* metrics) {
+  exec::Executor::Options options = exec_options_;
+  options.cancel = cancel;
+  exec::Executor executor(data_.get(), std::move(options));
+  meter_->Reset();
+  StatusOr<exec::QueryResult> result = executor.ExecutePerNode(
+      placements_[static_cast<std::size_t>(kind)].plan_for_node);
+  // A failed attempt still burned its joules; they served nothing.
+  const energy::QueryEnergyReport report =
+      meter_->Finish(result.ok() ? attr : energy::AttemptKind::kWasted);
+  if (energy != nullptr) *energy = report;
+  if (!result.ok()) return result.status();
+  EngineRun run;
+  run.wall = result->metrics.wall;
+  run.joules = report.total;
+  run.table = std::make_shared<storage::Table>(std::move(result->table));
+  if (metrics != nullptr) *metrics = std::move(result->metrics);
+  return run;
 }
 
 StatusOr<const EngineMeasurement*> EngineFleet::Measure(QueryKind kind) {
@@ -229,19 +258,18 @@ StatusOr<const EngineMeasurement*> EngineFleet::Measure(QueryKind kind) {
   EngineMeasurement best;
   best.kind = kind;
   for (int rep = 0; rep < options_.repetitions; ++rep) {
-    meter_->Reset();
-    EEDC_ASSIGN_OR_RETURN(
-        exec::QueryResult result,
-        executor_->ExecutePerNode(placement.plan_for_node));
-    const energy::QueryEnergyReport energy = meter_->Finish();
-    const Duration wall = result.metrics.wall;
-    if (wall.seconds() <= 0.0) continue;
-    if (best.wall.seconds() > 0.0 && wall >= best.wall) continue;
-    best.wall = wall;
-    best.joules = energy.total;
-    best.result_rows = result.table.num_rows();
-    best.shipped_bytes = result.metrics.TotalRemoteBytes();
-    best.profile = exec::BuildQueryProfile(result.metrics);
+    energy::QueryEnergyReport energy;
+    exec::ExecMetrics metrics;
+    EEDC_ASSIGN_OR_RETURN(EngineRun run,
+                          RunMetered(kind, energy::AttemptKind::kClean,
+                                     /*cancel=*/nullptr, &energy, &metrics));
+    if (run.wall.seconds() <= 0.0) continue;
+    if (best.wall.seconds() > 0.0 && run.wall >= best.wall) continue;
+    best.wall = run.wall;
+    best.joules = run.joules;
+    best.result_rows = run.table->num_rows();
+    best.shipped_bytes = metrics.TotalRemoteBytes();
+    best.profile = exec::BuildQueryProfile(metrics);
     best.joules_by_class.clear();
     for (const energy::NodeEnergyReport& nr : energy.nodes) {
       AddEnergyByClass(
@@ -259,17 +287,8 @@ StatusOr<const EngineMeasurement*> EngineFleet::Measure(QueryKind kind) {
 
 StatusOr<EngineRun> EngineFleet::RunOnce(QueryKind kind,
                                          energy::AttemptKind attr) {
-  const cluster::EnginePlacement& placement =
-      placements_[static_cast<std::size_t>(kind)];
-  meter_->Reset();
-  EEDC_ASSIGN_OR_RETURN(exec::QueryResult result,
-                        executor_->ExecutePerNode(placement.plan_for_node));
-  const energy::QueryEnergyReport energy = meter_->Finish(attr);
-  EngineRun run;
-  run.wall = result.metrics.wall;
-  run.joules = energy.total;
-  run.table = std::make_shared<storage::Table>(std::move(result.table));
-  return run;
+  return RunMetered(kind, attr, /*cancel=*/nullptr, /*energy=*/nullptr,
+                    /*metrics=*/nullptr);
 }
 
 StatusOr<EngineFleet*> EngineFleet::Degraded(int crash_node) {
@@ -295,83 +314,96 @@ StatusOr<EngineFleet*> EngineFleet::Degraded(int crash_node) {
     }
     // Same dbgen seed over n-1 nodes: re-partitioning preserves the
     // global row multiset, so the survivors compute identical results.
-    EngineFleetOptions degraded_options = options_;
-    degraded_options.promote_joiner_when_no_beefy = true;
-    EEDC_ASSIGN_OR_RETURN(slot, Create(survivors, degraded_options));
+    // The survivors of a validated fleet are a valid fleet.
+    std::unique_ptr<EngineFleet> degraded(
+        new EngineFleet(std::move(survivors), options_));
+    EEDC_RETURN_IF_ERROR(
+        degraded->Init(/*promote_joiner_when_no_beefy=*/true));
+    slot = std::move(degraded);
   }
   return slot.get();
 }
 
-StatusOr<FaultMeasurement> EngineFleet::MeasureWithCrash(
-    QueryKind kind, int crash_node, const EngineFaultOptions& fault) {
+StatusOr<FaultMeasurement> EngineFleet::Failover(
+    QueryKind kind, int crash_node, const EngineFaultOptions& fault,
+    bool fork_first, const std::function<StatusOr<EngineRun>()>& crash,
+    const std::function<StatusOr<EngineRun>(EngineFleet&)>& retry) {
   if (fault.max_attempts < 2) {
     return Status::InvalidArgument("crash/recover needs >= 2 attempts");
   }
   EEDC_ASSIGN_OR_RETURN(EngineFleet* degraded, Degraded(crash_node));
+  if (fork_first) {
+    // Fork both fleets while this process is still single-threaded: the
+    // survivor fleet first (its Init runs no queries), then our own,
+    // both before the threaded reference run below.
+    EEDC_RETURN_IF_ERROR(degraded->EnsureProcessFleet());
+    EEDC_RETURN_IF_ERROR(EnsureProcessFleet());
+  }
 
   FaultMeasurement m;
   m.kind = kind;
   m.crash_node = crash_node;
 
-  // Fault-free ground truth on the full, healthy fleet.
+  // Fault-free ground truth, in-process on the full, healthy fleet.
   EEDC_ASSIGN_OR_RETURN(EngineRun reference, RunOnce(kind));
-
-  // Attempt 1 crashes: a deterministic fuse trips after a handful of
-  // cooperative cancellation checks, tearing the query down exactly as a
-  // dead node would — ports poisoned, barriers aborted, partial
-  // results dropped.
-  exec::CancelToken token;
-  token.CancelAfter(
-      fault.crash_after_checks,
-      Status::Unavailable("node " + std::to_string(crash_node) +
-                          " crashed mid-query"));
-  const cluster::EnginePlacement& placement =
-      placements_[static_cast<std::size_t>(kind)];
-  exec::Executor::Options crash_options = placement.MakeExecutorOptions();
-  crash_options.activity_listener = meter_.get();
-  crash_options.cancel = &token;
-  exec::Executor crash_executor(data_.get(), std::move(crash_options));
-  meter_->Reset();
-  StatusOr<exec::QueryResult> first =
-      crash_executor.ExecutePerNode(placement.plan_for_node);
-  const bool crashed = !first.ok();
-  const energy::QueryEnergyReport first_energy = meter_->Finish(
-      crashed ? energy::AttemptKind::kWasted : energy::AttemptKind::kClean);
-  m.attempts = 1;
-  if (!crashed) {
-    // The query outran the fuse: nothing to recover from.
+  const auto complete = [&](const EngineRun& run) {
     m.completed = true;
-    m.wall = first->metrics.wall;
-    m.result = std::make_shared<storage::Table>(std::move(first->table));
+    m.wall = run.wall;
+    m.result = run.table;
     m.result_rows = m.result->num_rows();
     m.rows_match = exec::TablesEqualUnordered(*reference.table, *m.result,
                                               1e-6, &m.mismatch);
+  };
+
+  // Attempt 1 crashes mid-query, tearing it down exactly as a dead node
+  // would: no truncated table, only an error.
+  const Energy wasted_before = meter_->wasted_joules();
+  StatusOr<EngineRun> run = crash();
+  m.attempts = 1;
+  if (run.ok()) {
+    // The query outran the crash: nothing to recover from.
+    complete(*run);
     return m;
   }
-  m.wasted_joules = first_energy.total;
+  m.wasted_joules = meter_->wasted_joules() - wasted_before;
 
   // Failover: re-run on the survivor sub-fleet until the retry budget
   // runs out. A failed gate surfaces the last error loudly rather than
   // reporting a half-measured episode.
-  Status last = first.status();
+  Status last = run.status();
   for (int attempt = 2; attempt <= fault.max_attempts; ++attempt) {
     m.attempts = attempt;
-    StatusOr<EngineRun> retry =
-        degraded->RunOnce(kind, energy::AttemptKind::kRetry);
-    if (!retry.ok()) {
-      last = retry.status();
+    run = retry(*degraded);
+    if (!run.ok()) {
+      last = run.status();
       continue;
     }
-    m.completed = true;
-    m.wall = retry->wall;
-    m.retry_joules = retry->joules;
-    m.result = retry->table;
-    m.result_rows = m.result->num_rows();
-    m.rows_match = exec::TablesEqualUnordered(*reference.table, *m.result,
-                                              1e-6, &m.mismatch);
+    m.retry_joules = run->joules;
+    complete(*run);
     return m;
   }
   return last;
+}
+
+StatusOr<FaultMeasurement> EngineFleet::MeasureWithCrash(
+    QueryKind kind, int crash_node, const EngineFaultOptions& fault) {
+  return Failover(
+      kind, crash_node, fault, /*fork_first=*/false,
+      [&]() {
+        // A deterministic fuse trips after a handful of cooperative
+        // cancellation checks: ports poisoned, barriers aborted, partial
+        // results dropped.
+        exec::CancelToken token;
+        token.CancelAfter(
+            fault.crash_after_checks,
+            Status::Unavailable("node " + std::to_string(crash_node) +
+                                " crashed mid-query"));
+        return RunMetered(kind, energy::AttemptKind::kClean, &token,
+                          /*energy=*/nullptr, /*metrics=*/nullptr);
+      },
+      [kind](EngineFleet& survivors) {
+        return survivors.RunOnce(kind, energy::AttemptKind::kRetry);
+      });
 }
 
 Status EngineFleet::EnsureProcessFleet() {
@@ -766,58 +798,16 @@ StatusOr<ProcessRun> EngineFleet::MeasureProcess(QueryKind kind) {
 
 StatusOr<FaultMeasurement> EngineFleet::MeasureProcessWithCrash(
     QueryKind kind, int crash_node, const EngineFaultOptions& fault) {
-  if (fault.max_attempts < 2) {
-    return Status::InvalidArgument("crash/recover needs >= 2 attempts");
-  }
-  // Fork both fleets while this process is still single-threaded: the
-  // survivor fleet first (its Create runs no queries), then our own,
-  // both before the threaded reference run below.
-  EEDC_ASSIGN_OR_RETURN(EngineFleet* degraded, Degraded(crash_node));
-  EEDC_RETURN_IF_ERROR(degraded->EnsureProcessFleet());
-  EEDC_RETURN_IF_ERROR(EnsureProcessFleet());
-
-  FaultMeasurement m;
-  m.kind = kind;
-  m.crash_node = crash_node;
-
-  // Fault-free ground truth, in-process on the full fleet.
-  EEDC_ASSIGN_OR_RETURN(EngineRun reference, RunOnce(kind));
-
-  // Attempt 1: dispatch with the victim delayed, SIGKILL it right after
-  // the start barrier. The coordinator sees its control stream end; the
-  // survivors see their data edges die (Unavailable, not SIGPIPE).
-  StatusOr<ProcessRun> first = RunProcessQuery(kind, crash_node);
-  m.attempts = 1;
-  if (first.ok()) {
-    // The fragments outran the kill; nothing to recover from.
-    m.completed = true;
-    m.wall = first->wall;
-    m.result = first->table;
-    m.result_rows = first->result_rows;
-    m.rows_match = exec::TablesEqualUnordered(*reference.table, *m.result,
-                                              1e-6, &m.mismatch);
-    return m;
-  }
-
-  // Failover: the survivor sub-fleet's own process fleet re-runs the
-  // query. Energy stays unmetered on this path (see ProcessRun).
-  Status last = first.status();
-  for (int attempt = 2; attempt <= fault.max_attempts; ++attempt) {
-    m.attempts = attempt;
-    StatusOr<ProcessRun> retry = degraded->MeasureProcess(kind);
-    if (!retry.ok()) {
-      last = retry.status();
-      continue;
-    }
-    m.completed = true;
-    m.wall = retry->wall;
-    m.result = retry->table;
-    m.result_rows = retry->result_rows;
-    m.rows_match = exec::TablesEqualUnordered(*reference.table, *m.result,
-                                              1e-6, &m.mismatch);
-    return m;
-  }
-  return last;
+  // Attempt 1 delays the victim and SIGKILLs it right after the start
+  // barrier: the coordinator sees its control stream end, the survivors
+  // see their data edges die (Unavailable, not SIGPIPE). The survivor
+  // sub-fleet's own process fleet then re-runs the query.
+  return Failover(
+      kind, crash_node, fault, /*fork_first=*/true,
+      [&]() { return Unmetered(RunProcessQuery(kind, crash_node)); },
+      [kind](EngineFleet& survivors) {
+        return Unmetered(survivors.MeasureProcess(kind));
+      });
 }
 
 StatusOr<ConcurrentMeasurement> EngineFleet::MeasureConcurrent(
@@ -956,28 +946,17 @@ StatusOr<ConcurrentMeasurement> EngineFleet::MeasureConcurrent(
     m.runtime_metrics_json = runtime.metrics().SnapshotJson();
 
     if (trace != nullptr) {
-      // Per-node active-worker counter tracks: an event sweep over the
-      // run's non-wait worker spans.
-      struct Edge {
-        double ts;
-        int delta;
-      };
-      std::map<int, std::vector<Edge>> edges;
-      for (const exec::TaggedWorkerSpan& s : spans) {
-        if (s.is_wait) continue;
-        edges[s.node].push_back(Edge{s.begin.seconds(), 1});
-        edges[s.node].push_back(Edge{s.end.seconds(), -1});
-      }
-      for (auto& [node, ev] : edges) {
-        std::sort(ev.begin(), ev.end(), [](const Edge& a, const Edge& b) {
-          return a.ts < b.ts || (a.ts == b.ts && a.delta < b.delta);
-        });
-        int active = 0;
-        for (const Edge& e : ev) {
-          active += e.delta;
+      // Per-node active-worker counter tracks: the computing-worker
+      // counts the attribution priced, one value per sweep step.
+      for (std::size_t node = 0; node < report.node_steps.size(); ++node) {
+        const int id = static_cast<int>(node);
+        for (const energy::ActiveStep& step : report.node_steps[node]) {
           trace->AddCounter(obs::TraceCounter{
-              "active_workers", node, e.ts, static_cast<double>(active)});
+              "active_workers", id, step.begin.seconds(),
+              static_cast<double>(step.active)});
         }
+        trace->AddCounter(obs::TraceCounter{"active_workers", id,
+                                            report.wall.seconds(), 0.0});
       }
       // Per-query joule annotations: one counter track per query ramping
       // from 0 at its first span to its attributed total at its last.

@@ -24,6 +24,7 @@
 
 #include <array>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -52,13 +53,8 @@ struct EngineFleetOptions {
   std::uint64_t seed = 19920101;
   /// Best-of repetitions per kind (absorbs warm-up noise).
   int repetitions = 3;
-  /// Rows per morsel (0 = executor default).
-  std::size_t morsel_rows = 0;
   /// SLA deadline = multiplier x measured service, floored at 10 ms.
   double deadline_multiplier = 5.0;
-  /// Forwarded to PlacementOptions: degraded survivor fleets set this so
-  /// a mixed fleet that lost its last beefy still hosts joins somewhere.
-  bool promote_joiner_when_no_beefy = false;
   /// Spawns the one-OS-process-per-node fleet eagerly at Create (it is
   /// otherwise forked lazily on the first MeasureProcess). Either way the
   /// fork happens while the parent is single-threaded — eager spawn
@@ -233,7 +229,8 @@ class EngineFleet {
       obs::TraceRecorder* trace = nullptr);
 
   /// Runs `kind` once without memoization, returning the result table;
-  /// the metered joules are attributed to `attr` in the fleet's meter.
+  /// the metered joules are attributed to `attr` in the fleet's meter
+  /// (to kWasted if the run fails).
   StatusOr<EngineRun> RunOnce(
       QueryKind kind,
       energy::AttemptKind attr = energy::AttemptKind::kClean);
@@ -287,7 +284,34 @@ class EngineFleet {
  private:
   EngineFleet(cluster::ClusterConfig fleet, EngineFleetOptions options);
 
-  Status Init();
+  /// `promote_joiner_when_no_beefy` is forwarded to PlacementOptions:
+  /// Degraded sets it so a mixed fleet that lost its last beefy still
+  /// hosts joins somewhere.
+  Status Init(bool promote_joiner_when_no_beefy);
+
+  /// The one in-process metered run behind Measure, RunOnce and the crash
+  /// attempt of MeasureWithCrash. A fresh executor built from the stored
+  /// options (operator profiling on) runs `kind` under `cancel` (may be
+  /// null), and the meter bills the attempt as `attr`, or as kWasted when
+  /// it fails. `energy` (always) and `metrics` (on success) receive the
+  /// meter's report and the run's metrics when non-null.
+  StatusOr<EngineRun> RunMetered(QueryKind kind, energy::AttemptKind attr,
+                                 exec::CancelToken* cancel,
+                                 energy::QueryEnergyReport* energy,
+                                 exec::ExecMetrics* metrics);
+
+  /// The one crash/recover body behind MeasureWithCrash and
+  /// MeasureProcessWithCrash: builds the survivor fleet for `crash_node`,
+  /// runs the fault-free reference in-process, then `crash` as attempt 1
+  /// and `retry` on the survivors until one completes or the budget runs
+  /// out, and row-compares the result against the reference. Joules the
+  /// meter bills as wasted during attempt 1 are its wasted joules. With
+  /// `fork_first` both fleets' node processes are forked before the
+  /// reference run starts any thread.
+  StatusOr<FaultMeasurement> Failover(
+      QueryKind kind, int crash_node, const EngineFaultOptions& fault,
+      bool fork_first, const std::function<StatusOr<EngineRun>()>& crash,
+      const std::function<StatusOr<EngineRun>(EngineFleet&)>& retry);
 
   /// Forks the node processes if not already running. Must be called
   /// while this process is single-threaded (between queries — every
@@ -309,7 +333,9 @@ class EngineFleet {
   std::unique_ptr<exec::ClusterData> data_;
   std::array<cluster::EnginePlacement, kNumQueryKinds> placements_;
   std::unique_ptr<energy::EnergyMeter> meter_;
-  std::unique_ptr<exec::Executor> executor_;
+  /// Options of every metered run: class-aware widths, the meter as
+  /// activity listener, operator profiling on.
+  exec::Executor::Options exec_options_;
   std::array<std::optional<EngineMeasurement>, kNumQueryKinds> cache_;
   /// Index = crashed node id; built on first failover to that node.
   std::vector<std::unique_ptr<EngineFleet>> degraded_;

@@ -16,48 +16,24 @@ namespace {
 using power::ConstantPowerModel;
 using power::LinearPowerModel;
 
-TEST(BuildUtilizationTraceTest, OverlappingSpansTileTheHorizon) {
-  // worker 0 busy [0, 10), worker 1 busy [2, 6), W = 2, horizon 12.
-  const WorkerSpan spans[] = {
-      {0, 0, Duration::Zero(), Duration::Seconds(10.0)},
-      {0, 1, Duration::Seconds(2.0), Duration::Seconds(6.0)},
-  };
-  const UtilizationTrace trace =
-      BuildUtilizationTrace(spans, 2, Duration::Seconds(12.0));
-  ASSERT_EQ(trace.size(), 4u);
-  EXPECT_DOUBLE_EQ(trace[0].begin.seconds(), 0.0);
-  EXPECT_DOUBLE_EQ(trace[0].end.seconds(), 2.0);
-  EXPECT_DOUBLE_EQ(trace[0].utilization, 0.5);
-  EXPECT_DOUBLE_EQ(trace[1].end.seconds(), 6.0);
-  EXPECT_DOUBLE_EQ(trace[1].utilization, 1.0);
-  EXPECT_DOUBLE_EQ(trace[2].end.seconds(), 10.0);
-  EXPECT_DOUBLE_EQ(trace[2].utilization, 0.5);
-  EXPECT_DOUBLE_EQ(trace[3].end.seconds(), 12.0);
-  EXPECT_DOUBLE_EQ(trace[3].utilization, 0.0);
-}
-
-TEST(BuildUtilizationTraceTest, EmptySpansAreAllIdle) {
-  const UtilizationTrace trace =
-      BuildUtilizationTrace({}, 4, Duration::Seconds(3.0));
-  ASSERT_EQ(trace.size(), 1u);
-  EXPECT_DOUBLE_EQ(trace[0].utilization, 0.0);
-  EXPECT_DOUBLE_EQ(trace[0].end.seconds(), 3.0);
-}
-
-TEST(IntegrateTraceTest, MatchesHandComputedJoules) {
-  // The acceptance-criterion trace: spans as above under a linear
-  // 100 W idle / 200 W peak model.
+TEST(EnergyMeterTest, MatchesHandComputedJoules) {
+  // Node 0 of a W = 2 fleet under a linear 100 W idle / 200 W peak model:
+  // worker 0 busy [0, 10), worker 1 busy [2, 6). Node 1's span ends at
+  // 12 s and sets the query horizon, so node 0 idles over [10, 12).
   //   [0,2)  u=0.5 -> 150 W * 2 s  = 300 J  (busy)
   //   [2,6)  u=1.0 -> 200 W * 4 s  = 800 J  (busy)
   //   [6,10) u=0.5 -> 150 W * 4 s  = 600 J  (busy)
   //   [10,12) idle -> 101 W * 2 s  = 202 J  (idle; clamp floor is 1%)
-  const WorkerSpan spans[] = {
-      {0, 0, Duration::Zero(), Duration::Seconds(10.0)},
-      {0, 1, Duration::Seconds(2.0), Duration::Seconds(6.0)},
-  };
-  const LinearPowerModel model(Power::Watts(100.0), Power::Watts(200.0));
-  const EnergySplit split = IntegrateTrace(
-      BuildUtilizationTrace(spans, 2, Duration::Seconds(12.0)), model);
+  auto model = std::make_shared<LinearPowerModel>(Power::Watts(100.0),
+                                                  Power::Watts(200.0));
+  EnergyMeter meter(2, model, 2);
+  meter.OnWorkerSpan(0, 0, Duration::Zero(), Duration::Seconds(10.0));
+  meter.OnWorkerSpan(0, 1, Duration::Seconds(2.0), Duration::Seconds(6.0));
+  meter.OnWorkerSpan(1, 0, Duration::Zero(), Duration::Seconds(12.0));
+  const QueryEnergyReport report = meter.Finish();
+  ASSERT_EQ(report.nodes.size(), 2u);
+  EXPECT_DOUBLE_EQ(report.wall.seconds(), 12.0);
+  const EnergySplit& split = report.nodes[0].joules;
   const double want_busy = 300.0 + 800.0 + 600.0;
   const double want_idle = 202.0;
   // The acceptance bar is 1%; the integral over exact steps should in
