@@ -47,7 +47,7 @@ EnergySplit SweepNodeEnergy(std::span<const std::vector<WorkerSpan>> busy,
                             std::span<Energy> query_joules,
                             std::vector<ActiveStep>* steps) {
   EEDC_CHECK(workers > 0);
-  EEDC_CHECK(query_joules.empty() || query_joules.size() == busy.size());
+  EEDC_CHECK(query_joules.size() == busy.size());
   // At `at`, query `slot` gains (+1) or loses (-1) a computing worker.
   struct Event {
     double at;
@@ -81,12 +81,10 @@ EnergySplit SweepNodeEnergy(std::span<const std::vector<WorkerSpan>> busy,
               1.0, static_cast<double>(active_total) / workers)) *
           dt;
       split.busy += step;
-      if (!query_joules.empty()) {
-        for (const int q : live) {
-          const auto slot = static_cast<std::size_t>(q);
-          query_joules[slot] += step * (static_cast<double>(active[slot]) /
-                                        static_cast<double>(active_total));
-        }
+      for (const int q : live) {
+        const auto slot = static_cast<std::size_t>(q);
+        query_joules[slot] += step * (static_cast<double>(active[slot]) /
+                                      static_cast<double>(active_total));
       }
     } else {
       split.idle += model.IdleWatts() * dt;
@@ -210,9 +208,10 @@ QueryEnergyReport EnergyMeter::Finish(AttemptKind kind) {
                    (node_workers * report.wall.seconds()));
     }
     // The sweep's one-query case: the lone query's share of every busy
-    // step is the whole step, so the node split is the query's bill.
+    // step is the whole step, so the node's busy joules are its bill.
+    Energy share = Energy::Zero();
     nr.joules = SweepNodeEnergy({&busy_spans, 1}, node_workers, report.wall,
-                                *node_models_[node], {});
+                                *node_models_[node], {&share, 1});
     nr.network_bytes = net_bytes_[node];
     if (!nic_models_.empty()) {
       nr.joules.network = nic_models_[node].EnergyForBytes(nr.network_bytes);

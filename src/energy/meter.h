@@ -74,9 +74,9 @@ struct ActiveStep {
 /// piecewise constant; a step with `active` of them draws
 /// WattsAt(min(1, active / workers)) and bills it as busy, a step with
 /// none draws idle watts. Each busy step's joules are split across
-/// queries by their active-worker counts and added to query_joules[q]
-/// (pass an empty span to skip the split). Steps are appended to `steps`
-/// when it is non-null. Returns the node's busy and idle joules.
+/// queries by their active-worker counts and added to query_joules[q].
+/// Steps are appended to `steps` when it is non-null. Returns the node's
+/// busy and idle joules.
 EnergySplit SweepNodeEnergy(std::span<const std::vector<WorkerSpan>> busy,
                             int workers, Duration horizon,
                             const power::PowerModel& model,

@@ -236,14 +236,14 @@ StatusOr<EngineRun> EngineFleet::RunMetered(
   StatusOr<exec::QueryResult> result = executor.ExecutePerNode(
       placements_[static_cast<std::size_t>(kind)].plan_for_node);
   // A failed attempt still burned its joules; they served nothing.
-  const energy::QueryEnergyReport report =
+  energy::QueryEnergyReport report =
       meter_->Finish(result.ok() ? attr : energy::AttemptKind::kWasted);
-  if (energy != nullptr) *energy = report;
   if (!result.ok()) return result.status();
   EngineRun run;
   run.wall = result->metrics.wall;
   run.joules = report.total;
   run.table = std::make_shared<storage::Table>(std::move(result->table));
+  if (energy != nullptr) *energy = std::move(report);
   if (metrics != nullptr) *metrics = std::move(result->metrics);
   return run;
 }

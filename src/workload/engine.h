@@ -293,8 +293,8 @@ class EngineFleet {
   /// attempt of MeasureWithCrash. A fresh executor built from the stored
   /// options (operator profiling on) runs `kind` under `cancel` (may be
   /// null), and the meter bills the attempt as `attr`, or as kWasted when
-  /// it fails. `energy` (always) and `metrics` (on success) receive the
-  /// meter's report and the run's metrics when non-null.
+  /// it fails. On success, non-null `energy` and `metrics` receive the
+  /// meter's report and the run's metrics.
   StatusOr<EngineRun> RunMetered(QueryKind kind, energy::AttemptKind attr,
                                  exec::CancelToken* cancel,
                                  energy::QueryEnergyReport* energy,
