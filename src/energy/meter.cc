@@ -54,7 +54,10 @@ EnergySplit SweepNodeEnergy(std::span<const std::vector<WorkerSpan>> busy,
     int slot;
     int delta;
   };
+  std::size_t num_spans = 0;
+  for (const std::vector<WorkerSpan>& spans : busy) num_spans += spans.size();
   std::vector<Event> events;
+  events.reserve(2 * num_spans);
   for (std::size_t q = 0; q < busy.size(); ++q) {
     for (const WorkerSpan& s : busy[q]) {
       const double b = std::clamp(s.begin.seconds(), 0.0, horizon.seconds());
