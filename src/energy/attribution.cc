@@ -1,7 +1,7 @@
 #include "energy/attribution.h"
 
 #include <map>
-#include <utility>
+#include <vector>
 
 #include "common/check.h"
 
